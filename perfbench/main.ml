@@ -7,10 +7,12 @@
    Untraced (--trace 0): repeats the workload's fixed unit of work while
    another repeat fits in S seconds (at least once), checks every repeat
    against the committed reference, and prints the end-to-end metrics.
-   Traced (--trace 1): runs the layer ladder (Ladder) and prints the
-   per-layer metrics. Either way the last stdout line is one JSON object
-   {correct, attempted, failed, metrics}; a detailed report (sample counts,
-   per-repeat values, absent rows with reasons) goes to DIR. *)
+   Traced (--trace 1): runs the layer ladder (Ladder) over all three
+   workloads, whatever --workload names (it only names the output files),
+   and prints every per-layer metric. Either way the last stdout line is
+   one JSON object {correct, attempted, failed, metrics}; a detailed report
+   (sample counts, per-repeat values, absent rows with reasons) goes to
+   DIR. *)
 
 open Util
 open Workload
@@ -115,8 +117,7 @@ let setup_probe a sizes =
       mark.at -. t0
 
 (* Set-up is measured in fresh processes (a second set-up in the same
-   process finds every expression already hash-consed); the median of
-   several is reported. *)
+   process finds every expression already hash-consed). *)
 let setup_seconds a ~probes =
   List.init probes (fun _ ->
       let r, w = Unix.pipe ~cloexec:true () in
@@ -139,15 +140,20 @@ let setup_seconds a ~probes =
 (* ---- untraced runs -------------------------------------------------- *)
 
 (* Repeat [f] while another repeat (at the median repeat time so far) still
-   fits in [seconds]; at least once. *)
-let repeat ~seconds f =
+   fits in [seconds]; at least once. [between] runs before the first repeat,
+   between repeats and after the last, outside the repeats' timing. *)
+let repeat ~seconds ~between f =
   let t0 = now () in
   let rec go acc durs =
+    between ();
     let s = now () in
     let r = f () in
     let durs = (now () -. s) :: durs in
     if now () -. t0 +. median durs <= seconds then go (r :: acc) durs
-    else List.rev (r :: acc)
+    else begin
+      between ();
+      List.rev (r :: acc)
+    end
   in
   go [] []
 
@@ -226,8 +232,15 @@ let gate_repeats reference reps =
   in
   (List.fold_left (fun acc r -> acc + r.rep_ops) 0 reps, failed, consistent)
 
+(* The set-up probes are spread over the whole run, a few between each two
+   repeats: a shared host alternates, for seconds at a time, between two
+   speeds at which this ~8 ms set-up differs by about two thirds, and
+   probes taken in one burst all meet the same one. The minimum is
+   reported, the least disturbed of identical cold set-ups. *)
 let untraced a sizes reference canonical =
-  let setup = setup_seconds a ~probes:(if a.smoke then 2 else 21) in
+  let setup = ref [] in
+  let between () = setup := setup_seconds a ~probes:(if a.smoke then 1 else 3) @ !setup in
+  let repeat = repeat ~between in
   let reps, details =
     match a.workload with
     | "service-mix" ->
@@ -252,7 +265,7 @@ let untraced a sizes reference canonical =
   let latencies_ms = List.concat_map (fun r -> r.rep_latencies_ms) reps in
   let metrics =
     [
-      ("setup_s", median setup, "s");
+      ("setup_s", List.fold_left Float.min infinity !setup, "s");
       ("wall_s", median walls, "s");
       ("cpu_s", median cpus, "s");
       ("peak_rss_mb", peak_rss_mb (), "MiB");
@@ -260,6 +273,7 @@ let untraced a sizes reference canonical =
       ("query_p99_ms", quantile 0.99 latencies_ms, "ms");
     ]
   in
+  let setup = List.rev !setup in
   let report =
     [ ("repeats", int (List.length reps)); ("setup_probes", int (List.length setup));
       ("query_samples", int (List.length latencies_ms));

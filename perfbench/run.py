@@ -36,8 +36,6 @@ def main():
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--trace", type=int, choices=[0, 1], default=0)
-    ap.add_argument("--smoke", action="store_true",
-                    help="seconds-sized budgets, as in the benchmark's own test")
     args = ap.parse_args()
 
     for need in ("dune-project", os.path.join("lib", "core", "verify.ml"),
@@ -63,8 +61,6 @@ def main():
     cmd = [EXE, "--workload", args.workload, "--seed", str(args.seed),
            "--seconds", str(args.seconds), "--trace", str(args.trace),
            "--out", OUT, "--reference-dir", os.path.join(HERE, "reference")]
-    if args.smoke:
-        cmd.append("--smoke")
     sys.stdout.flush()
     sys.exit(subprocess.run(cmd, cwd=ROOT, env=env).returncode)
 

@@ -59,7 +59,7 @@ let budget_json b =
 (* The benchmark never runs more domains than cores. *)
 let cores = max 1 (Domain.recommended_domain_count ())
 
-let verify_config ?(jit = false) ?jit_cache ~workers b =
+let verify_config ~workers b =
   let base = Verify.default_config in
   {
     base with
@@ -68,8 +68,6 @@ let verify_config ?(jit = false) ?jit_cache ~workers b =
       { base.Verify.solver with Icp.fuel = b.fuel; delta = b.delta; faults = None };
     deadline_seconds = None;
     workers = min workers cores;
-    jit;
-    jit_cache;
   }
 
 (* ---- problems ------------------------------------------------------- *)
