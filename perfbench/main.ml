@@ -6,7 +6,8 @@
 
    Untraced (--trace 0): repeats the workload's fixed unit of work while
    another repeat fits in S seconds (at least once), checks every repeat
-   against the committed reference, and prints the end-to-end metrics.
+   against the committed reference, and prints the end-to-end metrics,
+   scaled by the host's speed sampled during each repeat (Speed).
    Traced (--trace 1): runs the layer ladder (Ladder) over all three
    workloads, whatever --workload names (it only names the output files),
    and prints every per-layer metric. Either way the last stdout line is
@@ -134,7 +135,7 @@ let setup_seconds a ~probes =
       close_in ic;
       probe_pids := pid :: !probe_pids;
       match Unix.waitpid [] pid with
-      | _, Unix.WEXITED 0 -> float_of_string (String.trim line)
+      | _, Unix.WEXITED 0 -> Scanf.sscanf line " %f %f" (fun raw f -> (raw, f))
       | _ -> failwith "set-up probe failed")
 
 (* ---- untraced runs -------------------------------------------------- *)
@@ -161,20 +162,37 @@ let repeat ~seconds ~between f =
    summarised as soon as it ends, so no repeat's outcomes stay alive into
    the next one (peak RSS must not grow with the repeat count). *)
 type repeat_summary = {
-  rep_wall : float;
+  rep_wall : float;  (** host-speed ticks left out, not scaled *)
   rep_cpu : float;
-  rep_latencies_ms : float list;
+  rep_wall_scaled : float;  (** scaled by the host's speed (Speed) *)
+  rep_cpu_scaled : float;
+  rep_latencies_ms : float list;  (** scaled *)
+  rep_latencies_raw_ms : float list;
+  rep_factor : float;
+  rep_io_factor : float;  (** [nan] on the campaign workloads *)
+  rep_slices : int;
   rep_deterministic : J.t;
   rep_ops : int;
   rep_failed_keys : string list;  (** verdicts differing from the reference *)
   rep_detail : J.t;
 }
 
-let summarise_campaign reference (p : pass) =
+(* A campaign repeat runs on the CPU throughout: every figure is scaled by
+   the CPU factor. *)
+let summarise_campaign reference speed (p : pass) =
+  let slice_wall, slice_cpu = Speed.spent ~since:p.first_call speed in
+  let f = Speed.factor speed in
+  let rep_wall = wall p -. slice_wall and rep_cpu = cpu_s p -. slice_cpu in
   {
-    rep_wall = wall p;
-    rep_cpu = cpu_s p;
-    rep_latencies_ms = List.map (fun (_, _, s) -> s *. 1e3) p.outcomes;
+    rep_wall;
+    rep_cpu;
+    rep_wall_scaled = rep_wall *. f;
+    rep_cpu_scaled = rep_cpu *. f;
+    rep_latencies_ms = List.map (fun (_, _, s) -> s *. 1e3 *. f) p.outcomes;
+    rep_latencies_raw_ms = List.map (fun (_, _, s) -> s *. 1e3) p.outcomes;
+    rep_factor = f;
+    rep_io_factor = Float.nan;
+    rep_slices = Speed.count speed;
     rep_deterministic = deterministic_of p.snap;
     rep_ops = List.length p.outcomes;
     rep_failed_keys =
@@ -184,11 +202,24 @@ let summarise_campaign reference (p : pass) =
     rep_detail = J.Null;
   }
 
-let summarise_service reference (p : service_pass) =
+(* A service repeat (one thread) also waits on its fsyncs: time on the CPU
+   is scaled by the CPU factor, the rest of the wall time by the I/O
+   factor. *)
+let summarise_service reference speed (p : service_pass) =
+  let slice_wall, slice_cpu = Speed.spent speed in
+  let f = Speed.factor speed and fio = Speed.io_factor speed in
+  let scale ~wall ~cpu = (cpu *. f) +. (Float.max 0. (wall -. cpu) *. fio) in
+  let rep_wall = p.s_wall -. slice_wall and rep_cpu = p.s_cpu -. slice_cpu in
   {
-    rep_wall = p.s_wall;
-    rep_cpu = p.s_cpu;
-    rep_latencies_ms = List.map (fun q -> q.q_ms) p.queries;
+    rep_wall;
+    rep_cpu;
+    rep_wall_scaled = scale ~wall:rep_wall ~cpu:rep_cpu;
+    rep_cpu_scaled = rep_cpu *. f;
+    rep_latencies_ms = List.map (fun q -> scale ~wall:q.q_ms ~cpu:q.q_cpu_ms) p.queries;
+    rep_latencies_raw_ms = List.map (fun q -> q.q_ms) p.queries;
+    rep_factor = f;
+    rep_io_factor = fio;
+    rep_slices = Speed.count speed;
     rep_deterministic = deterministic_of p.s_snap;
     rep_ops = List.length p.queries;
     rep_failed_keys =
@@ -234,9 +265,14 @@ let gate_repeats reference reps =
 
 (* The set-up probes are spread over the whole run, a few between each two
    repeats: a shared host alternates, for seconds at a time, between two
-   speeds at which this ~8 ms set-up differs by about two thirds, and
-   probes taken in one burst all meet the same one. The minimum is
-   reported, the least disturbed of identical cold set-ups. *)
+   speeds at which this ~9 ms set-up differs by about two thirds, and
+   probes taken in one burst all meet the same one. Each probe is scaled
+   by the host's speed sampled right after it, and the median is
+   reported.
+
+   Each repeat samples the host's speed as it runs (Speed), with as many
+   domains as the workload runs, and its wall, CPU and latency figures are
+   scaled by the repeat's factors. *)
 let untraced a sizes reference canonical =
   let setup = ref [] in
   let between () = setup := setup_seconds a ~probes:(if a.smoke then 1 else 3) @ !setup in
@@ -249,25 +285,29 @@ let untraced a sizes reference canonical =
         ( repeat ~seconds:a.seconds (fun () ->
               incr passes;
               let dir = service_dir a (string_of_int !passes) in
-              summarise_service reference (service_pass ~dir sizes seq)),
+              let speed = Speed.create ~io_path:(dir ^ ".probe") ~domains:1 () in
+              summarise_service reference speed (service_pass ~speed ~dir sizes seq)),
           [] )
     | w ->
         let problems, config = campaign_problems sizes canonical w in
         let order = permute ~seed:a.seed problems in
         ( repeat ~seconds:a.seconds (fun () ->
-              summarise_campaign reference (campaign_pass ~config order)),
+              let speed = Speed.create ~domains:config.Verify.workers () in
+              summarise_campaign reference speed (campaign_pass ~speed ~config order)),
           [ ("workers", int config.Verify.workers);
             ("recommended_domains", int (Domain.recommended_domain_count ())) ] )
   in
   let attempted, failed, consistent = gate_repeats reference reps in
   let walls = List.map (fun r -> r.rep_wall) reps in
   let cpus = List.map (fun r -> r.rep_cpu) reps in
+  let factors = List.map (fun r -> r.rep_factor) reps in
   let latencies_ms = List.concat_map (fun r -> r.rep_latencies_ms) reps in
+  let raw_latencies_ms = List.concat_map (fun r -> r.rep_latencies_raw_ms) reps in
   let metrics =
     [
-      ("setup_s", List.fold_left Float.min infinity !setup, "s");
-      ("wall_s", median walls, "s");
-      ("cpu_s", median cpus, "s");
+      ("setup_s", median (List.map (fun (raw, f) -> raw *. f) !setup), "s");
+      ("wall_s", median (List.map (fun r -> r.rep_wall_scaled) reps), "s");
+      ("cpu_s", median (List.map (fun r -> r.rep_cpu_scaled) reps), "s");
       ("peak_rss_mb", peak_rss_mb (), "MiB");
       ("query_p50_ms", median latencies_ms, "ms");
       ("query_p99_ms", quantile 0.99 latencies_ms, "ms");
@@ -277,8 +317,20 @@ let untraced a sizes reference canonical =
   let report =
     [ ("repeats", int (List.length reps)); ("setup_probes", int (List.length setup));
       ("query_samples", int (List.length latencies_ms));
-      ("walls_s", J.Arr (List.map num walls)); ("cpus_s", J.Arr (List.map num cpus));
-      ("setup_s", J.Arr (List.map num setup));
+      ("unscaled_walls_s", J.Arr (List.map num walls));
+      ("unscaled_cpus_s", J.Arr (List.map num cpus));
+      ("unscaled_wall_s", num (median walls)); ("unscaled_cpu_s", num (median cpus));
+      ("unscaled_query_p50_ms", num (median raw_latencies_ms));
+      ("unscaled_query_p99_ms", num (quantile 0.99 raw_latencies_ms));
+      ("speed_factors", J.Arr (List.map num factors));
+      ( "io_factors",
+        J.Arr
+          (List.map
+             (fun r -> if Float.is_nan r.rep_io_factor then J.Null else num r.rep_io_factor)
+             reps) );
+      ("speed_slices", J.Arr (List.map (fun r -> int r.rep_slices) reps));
+      ("setup_s", J.Arr (List.map (fun (raw, _) -> num raw) setup));
+      ("setup_factors", J.Arr (List.map (fun (_, f) -> num f) setup));
       ("repeat_details", J.Arr (List.map (fun r -> r.rep_detail) reps)) ]
     @ details
   in
@@ -349,7 +401,13 @@ let () =
     at_exit (fun () ->
         List.iter (fun pid -> rm_rf (scratch_of a pid)) (Unix.getpid () :: !probe_pids);
         fsync_dir (tmp_dir a));
-  if a.setup_probe then Printf.printf "%.9f\n" (setup_probe a sizes)
+  if a.setup_probe then begin
+    (* the set-up, then the host's speed right after it (Speed) *)
+    let raw = setup_probe a sizes in
+    let speed = Speed.create ~domains:1 () in
+    for _ = 1 to 5 do Speed.sample speed done;
+    Printf.printf "%.9f %.9f\n" raw (Speed.factor speed)
+  end
   else if a.write_reference then write_reference a sizes (table1_problems ())
   else begin
     let reference = load_reference (reference_path a a.workload) in

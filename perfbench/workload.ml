@@ -192,8 +192,17 @@ let mark_stop ?(then_stop = false) m () =
   end;
   then_stop
 
-let campaign_pass ?(record = false) ?(layer = "verify") ~config problems =
+(* With [speed], host-speed slices (Speed) run before every pair and, on a
+   single worker, at the stop poll; a pair's latency leaves them out. *)
+let campaign_pass ?(record = false) ?(layer = "verify") ?speed ~config problems =
   let mark = new_mark () in
+  let tick () = Option.iter Speed.tick speed in
+  let stop () =
+    ignore (mark_stop mark ());
+    if config.Verify.workers = 1 then tick ();
+    false
+  in
+  let sliced since = match speed with Some sp -> fst (Speed.spent ~since sp) | None -> 0. in
   let gc0 = Gc.quick_stat () in
   let (outcomes, events), snap =
     with_metrics (fun () ->
@@ -202,10 +211,11 @@ let campaign_pass ?(record = false) ?(layer = "verify") ~config problems =
             (fun p ->
               let k = key_of p in
               let recorder = if record then Some (Trace.create ()) else None in
+              tick ();
               Span.within layer ("Verify.run " ^ k) (fun () ->
                   let t0 = now () in
-                  let o = Verify.run ~config ?recorder ~stop:(mark_stop mark) p in
-                  ( (k, o, now () -. t0),
+                  let o = Verify.run ~config ?recorder ~stop p in
+                  ( (k, o, now () -. t0 -. sliced t0),
                     Option.map (fun r -> (k, Trace.events r)) recorder )))
             problems
         in
@@ -253,6 +263,7 @@ let service_config ~dir sizes =
 type query = {
   q_key : string;
   q_ms : float;
+  q_cpu_ms : float;  (** the process's CPU time during the query *)
   q_cached : bool;
   q_outcome : Outcome.t option;  (** [None]: Failed/Overloaded/Refused/partial *)
 }
@@ -269,8 +280,9 @@ type service_pass = {
 (* One client in a closed loop on a fresh, empty cache directory. Nothing
    is deleted while a run measures: the caller removes every directory
    once the run is over (a deletion would put its file-system work into
-   the next pass's fsyncs). *)
-let service_pass ~dir sizes seq =
+   the next pass's fsyncs). With [speed], a host-speed tick (Speed) may
+   run before each query, outside its latency. *)
+let service_pass ?speed ~dir sizes seq =
   let gc0 = Gc.quick_stat () in
   let (create_s, s_wall, s_cpu, queries), s_snap =
     with_metrics (fun () ->
@@ -295,6 +307,8 @@ let service_pass ~dir sizes seq =
                   { Protocol.deadline_ms = None; fuel = Some fuel; threshold = Some th };
               }
           in
+          Option.iter Speed.tick speed;
+          let qc0 = cpu () in
           let q0 = now () in
           let got = ref [] in
           (match
@@ -306,10 +320,11 @@ let service_pass ~dir sizes seq =
               Span.within "service" "Engine.drain" (fun () ->
                   Engine.drain engine ~on_response:(fun _ r -> got := r :: !got) ()));
           let q_ms = (now () -. q0) *. 1e3 in
+          let q_cpu_ms = (cpu () -. qc0) *. 1e3 in
           match !got with
           | [ Protocol.Result { cached; partial = false; degraded = 0; outcome; _ } ] ->
-              { q_key; q_ms; q_cached = cached; q_outcome = Some outcome }
-          | _ -> { q_key; q_ms; q_cached = false; q_outcome = None }
+              { q_key; q_ms; q_cpu_ms; q_cached = cached; q_outcome = Some outcome }
+          | _ -> { q_key; q_ms; q_cpu_ms; q_cached = false; q_outcome = None }
         in
         let queries = Array.to_list (Array.mapi ask seq) in
         Engine.shutdown engine;
