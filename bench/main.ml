@@ -102,7 +102,9 @@ let campaign () =
   | Some o -> o
   | None ->
       let t0 = Unix.gettimeofday () in
-      let outcomes = Verify.campaign ~config:campaign_config Registry.paper_five in
+      let outcomes, _ =
+        Verify.campaign ~config:campaign_config Registry.paper_five
+      in
       Printf.printf "(campaign: %d pairs in %.1fs)\n\n" (List.length outcomes)
         (Unix.gettimeofday () -. t0);
       campaign_cache := Some outcomes;
@@ -469,7 +471,7 @@ let scheduler () =
   let time_campaign workers =
     let config = { campaign_config with workers } in
     let t0 = Unix.gettimeofday () in
-    let outcomes = Verify.campaign ~config [ pbe ] in
+    let outcomes, _ = Verify.campaign ~config [ pbe ] in
     (outcomes, Unix.gettimeofday () -. t0)
   in
   let seq, t_seq = time_campaign 1 in

@@ -72,20 +72,32 @@ let condition_arg =
     & opt (some string) None
     & info [ "c"; "condition" ] ~doc ~docv:"COND")
 
+(* The numeric solver flags are option-valued so that a preset
+   ([campaign --quick]) can supply what the user did not set; the help
+   shows the default preset's value. *)
 let fuel_arg =
   let doc = "Solver fuel (box expansions) per dReal-style call." in
-  Arg.(value & opt (bounded_int ~what:"fuel" ~min:1) 600 & info [ "fuel" ] ~doc)
+  let none = Verify.default_config.Verify.solver.Icp.fuel in
+  Arg.(
+    value
+    & opt (some' ~none (bounded_int ~what:"fuel" ~min:1)) None
+    & info [ "fuel" ] ~doc)
 
 let threshold_arg =
   let doc = "Domain-splitting threshold t of Algorithm 1." in
+  let none = Verify.default_config.Verify.threshold in
   Arg.(
     value
-    & opt (positive_float ~what:"threshold") 0.05
+    & opt (some' ~none (positive_float ~what:"threshold")) None
     & info [ "t"; "threshold" ] ~doc)
 
 let delta_arg =
   let doc = "Delta of the delta-sat decision." in
-  Arg.(value & opt (positive_float ~what:"delta") 1e-4 & info [ "delta" ] ~doc)
+  let none = Verify.default_config.Verify.solver.Icp.delta in
+  Arg.(
+    value
+    & opt (some' ~none (positive_float ~what:"delta")) None
+    & info [ "delta" ] ~doc)
 
 let deadline_arg =
   let doc = "Wall-clock budget in seconds per (DFA, condition) pair." in
@@ -188,7 +200,7 @@ let retries_arg =
   in
   Arg.(
     value
-    & opt (bounded_int ~what:"retries" ~min:0) 0
+    & opt (some' ~none:0 (bounded_int ~what:"retries" ~min:0)) None
     & info [ "retries" ] ~doc ~docv:"N")
 
 let fuel_growth_arg =
@@ -259,26 +271,51 @@ let warn_if_jit_unavailable jit =
       "warning: --jit requested but no C compiler found (XCV_CC, cc, gcc); \
        continuing on the interpreted tape"
 
-let config_of ?(use_taylor = true) ?(split = `Widest) ?(workers = 1)
-    ?(retries = 0) ?(fuel_growth = 2) ?fault_rate
-    ?(fault_seed = Fault.default_seed) ?(jit = false) ?jit_cache fuel
-    threshold delta deadline =
+(* More worker domains than cores oversubscribe the CPU: PBE EC1 measured
+   14.5 s at -j 4 against 4.2 s at -j 2 on a 2-core machine. *)
+let warn_if_oversubscribed workers =
+  let cores = Domain.recommended_domain_count () in
+  if workers > cores then
+    Printf.eprintf
+      "warning: -j %d exceeds the %d worker domains this machine \
+       recommends; extra domains oversubscribe the cores and usually slow \
+       the run down\n%!"
+      workers cores
+
+(* [preset] supplies every setting whose flag was not given. *)
+let config_of ?(preset = Verify.default_config) ?(use_taylor = true)
+    ?(split = `Widest) ?(workers = 1) ?retries ?(fuel_growth = 2) ?fault_rate
+    ?(fault_seed = Fault.default_seed) ?(jit = false) ?jit_cache ?fuel
+    ?threshold ?delta ?deadline () =
   let faults =
     match fault_rate with
     | Some rate -> Some (Fault.make ~seed:fault_seed ~rate ())
     | None -> Fault.of_env ()
   in
   warn_if_jit_unavailable jit;
+  warn_if_oversubscribed workers;
+  let solver = preset.Verify.solver in
   {
-    Verify.threshold;
+    preset with
+    Verify.threshold = Option.value threshold ~default:preset.Verify.threshold;
     solver =
-      { Icp.default_config with fuel; delta; contractor_rounds = 3; faults };
-    deadline_seconds = deadline;
+      {
+        solver with
+        Icp.fuel = Option.value fuel ~default:solver.Icp.fuel;
+        delta = Option.value delta ~default:solver.Icp.delta;
+        faults;
+      };
+    deadline_seconds =
+      (match deadline with None -> preset.Verify.deadline_seconds | d -> d);
     workers = (if workers <= 0 then Pool.default_workers () else workers);
     use_taylor;
-    use_tape = true;
     split_heuristic = split;
-    retry = { Verify.max_retries = retries; fuel_growth };
+    retry =
+      {
+        Verify.max_retries =
+          Option.value retries ~default:preset.Verify.retry.Verify.max_retries;
+        fuel_growth;
+      };
     jit;
     jit_cache;
   }
@@ -367,9 +404,9 @@ let verify_cmd =
         exit 2
     | Ok (f, c) -> (
         let config =
-          config_of ~use_taylor ~split ~workers ~retries ~fuel_growth
-            ?fault_rate ~fault_seed ~jit ?jit_cache fuel threshold delta
-            deadline
+          config_of ~use_taylor ~split ~workers ?retries ~fuel_growth
+            ?fault_rate ~fault_seed ~jit ?jit_cache ?fuel ?threshold ?delta
+            ?deadline ()
         in
         match Encoder.encode f c with
         | None ->
@@ -425,7 +462,7 @@ let verify_cmd =
 
 let extra_cmd =
   let run fuel threshold delta deadline =
-    let config = config_of fuel threshold delta deadline in
+    let config = config_of ?fuel ?threshold ?delta ?deadline () in
     List.iter
       (fun (f : Registry.t) ->
         List.iter
@@ -453,7 +490,10 @@ let extra_cmd =
 
 let campaign_cmd =
   let quick_arg =
-    let doc = "Use the quick preset (coarser threshold, small fuel)." in
+    let doc =
+      "Use the quick preset (coarser threshold and delta, small fuel, a 30 s \
+       per-pair deadline); explicit solver flags override it."
+    in
     Arg.(value & flag & info [ "quick" ] ~doc)
   in
   let save_arg =
@@ -465,8 +505,8 @@ let campaign_cmd =
   in
   let checkpoint_arg =
     let doc =
-      "Append each completed outcome to $(docv) as the campaign proceeds; a \
-       killed run loses at most the pair in flight."
+      "Start $(docv) afresh and append each completed pair to it as the \
+       campaign proceeds; a killed run loses at most the pair in flight."
     in
     Arg.(
       value
@@ -482,8 +522,9 @@ let campaign_cmd =
   in
   let resume_arg =
     let doc =
-      "Reuse outcomes from a previous checkpoint $(docv); already-completed \
-       (DFA, condition) pairs are not re-run."
+      "Reuse outcomes from a previous checkpoint $(docv) of the same \
+       campaign; already-completed (DFA, condition) pairs are not re-run. \
+       Pass the --checkpoint path to continue a killed run in place."
     in
     Arg.(value & opt (some string) None & info [ "resume" ] ~doc ~docv:"FILE")
   in
@@ -558,20 +599,10 @@ let campaign_cmd =
       resume metrics progress retries fuel_growth fault_rate fault_seed shard
       shards merge jit jit_cache =
     let config =
-      if quick then begin
-        warn_if_jit_unavailable jit;
-        {
-          Verify.quick_config with
-          split_heuristic = split;
-          workers =
-            (if workers <= 0 then Pool.default_workers () else workers);
-          jit;
-          jit_cache;
-        }
-      end
-      else
-        config_of ~split ~workers ~retries ~fuel_growth ?fault_rate
-          ~fault_seed ~jit ?jit_cache fuel threshold delta deadline
+      config_of
+        ~preset:(if quick then Verify.quick_config else Verify.default_config)
+        ~split ~workers ?retries ~fuel_growth ?fault_rate ~fault_seed ~jit
+        ?jit_cache ?fuel ?threshold ?delta ?deadline ()
     in
     (match
        List.filter
@@ -594,62 +625,6 @@ let campaign_cmd =
               Printf.eprintf "--merge: %s\n" msg;
               exit 2
           | Ok m -> print_merged save metrics m)
-      | Some (i, n), _, _ ->
-          (* One shard of a distributed campaign. *)
-          let base =
-            match checkpoint with
-            | Some p -> p
-            | None ->
-                prerr_endline "--shard requires --checkpoint";
-                exit 2
-          in
-          if Option.is_some save then
-            prerr_endline
-              "warning: --save is ignored in shard mode (it applies to the \
-               merged run)";
-          let spec = { Verify.shard_index = i; shard_count = n } in
-          let ckpt = Shard_merge.shard_path base i in
-          let resume = Option.map (fun r -> Shard_merge.shard_path r i) resume in
-          if progress then
-            Obs.Progress.enable
-              ~label:(Printf.sprintf "shard %d/%d" i n)
-              ~total_pairs ();
-          (* Crash injection for the @shard test gate (same ambient-hook
-             idiom as XCV_FAULT_RATE): on a fresh — not resumed — shard
-             run, die by SIGKILL right after the Nth pair's checkpoint
-             entry is flushed, leaving a torn tail exactly as a kill
-             mid-append would. The supervisor must then restart the shard
-             from that checkpoint without changing the merged bytes. *)
-          let kill_after =
-            match Sys.getenv_opt "XCV_SHARD_KILL_AFTER" with
-            | Some s when resume = None -> int_of_string_opt s
-            | _ -> None
-          in
-          let pairs_done = ref 0 in
-          let on_pair _ =
-            incr pairs_done;
-            match kill_after with
-            | Some k when !pairs_done = k ->
-                let oc =
-                  open_out_gen [ Open_append; Open_binary ] 0o644 ckpt
-                in
-                output_string oc "(entry (outcome 3 (dfa to";
-                close_out oc;
-                Unix.kill (Unix.getpid ()) Sys.sigkill
-            | _ -> ()
-          in
-          let pairs, snap =
-            Verify.shard_campaign ~config ~shard:spec ~checkpoint:ckpt ?resume
-              ~on_pair Registry.paper_five
-          in
-          Obs.Progress.disable ();
-          Printf.printf "shard %d/%d: %d pairs checkpointed to %s\n" i n
-            (List.length pairs) ckpt;
-          Option.iter
-            (fun m ->
-              let path = if m = "-" then m else Shard_merge.shard_path m i in
-              write_metrics_json (Obs.Metrics.to_json snap) path)
-            metrics
       | _, Some n, _ -> (
           (* Supervisor: fork/exec the shards, restart the dead, merge. *)
           let base =
@@ -659,28 +634,29 @@ let campaign_cmd =
                 prerr_endline "--shards requires --checkpoint";
                 exit 2
           in
+          let opt_flag name to_string =
+            Option.fold ~none:[] ~some:(fun v -> [ name; to_string v ])
+          and float_flag = Printf.sprintf "%.17g" in
           let spawn ~shard ~resume =
             let args =
               [ "campaign"; "--shard"; Printf.sprintf "%d/%d" shard n;
                 "--checkpoint"; base ]
               @ (if quick then [ "--quick" ] else [])
               @ [
-                  "--fuel"; string_of_int fuel;
-                  "--threshold"; Printf.sprintf "%.17g" threshold;
-                  "--delta"; Printf.sprintf "%.17g" delta;
                   "--split";
                   (match split with `Widest -> "widest" | `Smear -> "smear");
                   "--workers"; string_of_int workers;
-                  "--retries"; string_of_int retries;
                   "--fuel-growth"; string_of_int fuel_growth;
                   "--fault-seed"; string_of_int fault_seed;
                 ]
-              @ (match deadline with
-                | Some d -> [ "--deadline"; Printf.sprintf "%.17g" d ]
-                | None -> [])
-              @ (match fault_rate with
-                | Some r -> [ "--fault-rate"; Printf.sprintf "%.17g" r ]
-                | None -> [])
+              (* only the flags the user set: a default passed on would
+                 override the --quick preset in every shard *)
+              @ opt_flag "--fuel" string_of_int fuel
+              @ opt_flag "--threshold" float_flag threshold
+              @ opt_flag "--delta" float_flag delta
+              @ opt_flag "--deadline" float_flag deadline
+              @ opt_flag "--retries" string_of_int retries
+              @ opt_flag "--fault-rate" float_flag fault_rate
               @ (match metrics with
                 | Some m when m <> "-" -> [ "--metrics"; m ]
                 | _ -> [])
@@ -726,13 +702,77 @@ let campaign_cmd =
                   Printf.eprintf "--shards: merge failed: %s\n" msg;
                   exit 2
               | Ok m -> print_merged save metrics m))
-      | None, None, None ->
-          if progress then Obs.Progress.enable ~total_pairs ();
-          let outcomes = Xcverifier.verify_all ~config ?checkpoint ?resume () in
+      | shard, None, None ->
+          (* One campaign process: the whole campaign, or shard I/N of a
+             distributed one. A shard's checkpoint, --resume and --metrics
+             paths carry the .shard<I> suffix. *)
+          let i, n = Option.value shard ~default:(0, 1) in
+          let checkpoint, resume, metrics =
+            match shard with
+            | None -> (checkpoint, resume, metrics)
+            | Some _ ->
+                let base =
+                  match checkpoint with
+                  | Some p -> p
+                  | None ->
+                      prerr_endline "--shard requires --checkpoint";
+                      exit 2
+                in
+                if Option.is_some save then
+                  prerr_endline
+                    "warning: --save is ignored in shard mode (it applies to \
+                     the merged run)";
+                let suffixed p = Shard_merge.shard_path p i in
+                ( Some (suffixed base),
+                  Option.map suffixed resume,
+                  Option.map (fun m -> if m = "-" then m else suffixed m)
+                    metrics )
+          in
+          if progress then
+            Obs.Progress.enable
+              ?label:
+                (Option.map (fun _ -> Printf.sprintf "shard %d/%d" i n) shard)
+              ~total_pairs ();
+          (* Crash injection for the @shard test gate (same ambient-hook
+             idiom as XCV_FAULT_RATE): on a fresh — not resumed — shard
+             run, die by SIGKILL right after the Nth pair's checkpoint
+             entry is flushed, leaving a torn tail exactly as a kill
+             mid-append would. The supervisor must then restart the shard
+             from that checkpoint without changing the merged bytes. *)
+          let kill_after =
+            match Sys.getenv_opt "XCV_SHARD_KILL_AFTER" with
+            | Some s when Option.is_some shard && resume = None ->
+                int_of_string_opt s
+            | _ -> None
+          in
+          let pairs_done = ref 0 in
+          let on_pair _ =
+            incr pairs_done;
+            match kill_after with
+            | Some k when !pairs_done = k ->
+                let oc =
+                  open_out_gen [ Open_append; Open_binary ] 0o644
+                    (Option.get checkpoint)
+                in
+                output_string oc "(entry (outcome 3 (dfa to";
+                close_out oc;
+                Unix.kill (Unix.getpid ()) Sys.sigkill
+            | _ -> ()
+          in
+          let outcomes, snap =
+            Verify.campaign ~config
+              ~shard:{ Verify.shard_index = i; shard_count = n }
+              ?checkpoint ?resume ~on_pair Registry.paper_five
+          in
           Obs.Progress.disable ();
-          print_outcomes outcomes;
-          save_outcomes save outcomes;
-          Option.iter write_metrics metrics
+          (match (shard, checkpoint) with
+          | Some _, Some ckpt ->
+              Printf.printf "shard %d/%d: %d pairs checkpointed to %s\n" i n
+                (List.length outcomes) ckpt
+          | _ ->
+              print_outcomes outcomes;
+              save_outcomes save outcomes);
+          Option.iter (write_metrics_json (Obs.Metrics.to_json snap)) metrics
     with Failure msg ->
       prerr_endline msg;
       exit 2
@@ -807,7 +847,7 @@ let compare_cmd =
         prerr_endline e;
         exit 2
     | Ok (f, c) -> (
-        let config = config_of fuel threshold delta deadline in
+        let config = config_of ?fuel ?threshold ?delta ?deadline () in
         match Verify.run_pair ~config f c, Pbcheck.check ~n f c with
         | Some o, Some pb ->
             print_string (Xcverifier.figure o (Some pb));
@@ -877,7 +917,7 @@ let serve_cmd =
   let run socket cache_dir max_inflight deadline_ms fuel_quota fuel threshold
       delta workers progress jit jit_cache =
     let verify =
-      config_of ~workers ~jit ?jit_cache fuel threshold delta None
+      config_of ~workers ~jit ?jit_cache ?fuel ?threshold ?delta ()
     in
     (* same ambient-hook idiom as XCV_SHARD_KILL_AFTER: tear the cache
        group file after the Nth commit and die by SIGKILL, so the restart

@@ -24,16 +24,6 @@ val save : string -> Outcome.t list -> unit
 
 val load : string -> Outcome.t list
 
-(** {1 Checkpoints}
-
-    A campaign checkpoint is the same one-s-expression-per-line format as
-    {!save}, but written incrementally: {!append} adds outcomes to the end
-    of the file (creating it if absent) and flushes after every line, so a
-    killed process leaves a loadable prefix plus at most one torn tail. *)
-
-(** [append path outcomes] appends, flushing per outcome. *)
-val append : string -> Outcome.t list -> unit
-
 (** {1 Crash-safe byte primitives}
 
     The verdict cache and the service journal are built on two durable
@@ -97,21 +87,19 @@ val header_of_string : string -> header
 val check_header : path:string -> expect:header -> header -> unit
 
 (** [write_header path header] creates (or truncates) [path] with the
-    single header line. [ensure_header] is the idempotent variant: an
-    existing header must match ([Failure] otherwise), legacy headerless
-    files with content are left untouched, empty or absent files get the
-    header. *)
+    single header line. *)
 val write_header : string -> header -> unit
 
-val ensure_header : string -> header -> unit
+(** {1 Checkpoints}
 
-(** {1 Checkpoint entries}
-
-    Sharded checkpoints extend the outcome line with the region paths of
-    the paint log (needed to interleave shard logs back into pre-order at
-    merge time) and the pair's metrics snapshot JSON (so merged metrics
-    reproduce the unsharded run even after a shard was killed and resumed).
-    Plain outcome lines read back as entries with both fields [None]. *)
+    A campaign checkpoint is a {!header} line followed by one entry line
+    per completed pair, written incrementally. An entry extends the
+    outcome with the region paths of the paint log (needed to interleave
+    shard logs back into pre-order at merge time) and the pair's metrics
+    snapshot JSON (so a resumed or merged run reproduces the fresh
+    unsharded run's metrics). Plain outcome lines ({!save} archives) read
+    back as entries with both fields [None]; {!load} reads a finished
+    checkpoint as an archive. *)
 
 type entry = {
   outcome : Outcome.t;
@@ -126,8 +114,9 @@ val entry_to_string : entry -> string
 (** @raise Parser.Parse_error on malformed input. *)
 val entry_of_string : string -> entry
 
-(** [append_entries path entries] appends, flushing per entry (same torn-
-    tail discipline as {!append}). *)
+(** [append_entries path entries] appends (creating [path] if absent),
+    flushing per entry, so a killed process leaves a loadable prefix plus
+    at most one torn tail. *)
 val append_entries : string -> entry list -> unit
 
 (** The structured view of a checkpoint file: optional leading header, the
@@ -148,14 +137,6 @@ val read_checkpoint : string -> checkpoint
     before appending to a checkpoint that survived a kill, because loaders
     stop at the torn line and would never see entries appended after it. *)
 val repair_checkpoint : string -> checkpoint
-
-(** [load_checkpoint path] loads the valid prefix of a checkpoint: [[]] if
-    the file does not exist, and parsing stops silently at the first
-    malformed line (a torn write from a killed campaign) — unlike {!load},
-    which raises. [expect], when given, is checked against the file's
-    header with {!check_header} ([Failure] on mismatch); headerless legacy
-    checkpoints are accepted as before. *)
-val load_checkpoint : ?expect:header -> string -> Outcome.t list
 
 (** [paint_to_string o] — the paint log alone, one region s-expression per
     line. Stats (which carry wall-clock elapsed) are excluded: this is the

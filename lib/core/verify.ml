@@ -532,11 +532,6 @@ let run ?config ?recorder ?stop (p : Encoder.problem) =
 let run_pair ?config ?recorder dfa cond =
   Option.map (run ?config ?recorder) (Encoder.encode dfa cond)
 
-let run_sharded ?config ?shard (p : Encoder.problem) =
-  run_custom_sharded ?config ?shard ~dfa_label:p.Encoder.dfa.Registry.label
-    ~condition_label:(Conditions.name p.Encoder.condition)
-    ~domain:p.Encoder.domain ~psi:p.Encoder.psi ()
-
 (* ------------------------------------------------------------------ *)
 (* Campaign identity hashes (checkpoint headers).
 
@@ -607,6 +602,23 @@ let problem_fingerprint (p : Encoder.problem) =
 let formula_hash problems =
   Serialize.digest (String.concat "\n" (List.map problem_fingerprint problems))
 
+(* ------------------------------------------------------------------ *)
+(* Campaigns. An unsharded campaign is shard 0 of 1: one code path
+   runs every applicable pair, appends it to the checkpoint as one
+   [Serialize.entry] line (outcome, region paths, the pair's metrics
+   snapshot) and resumes from such a file. Each pair runs under a fresh
+   metrics instance so its snapshot is self-contained: the campaign's
+   metrics are the fold of its per-pair snapshots, which makes metrics
+   resumable — a killed and restarted run recovers the metrics of its
+   completed pairs from the checkpoint, and the merged deterministic
+   section of a sharded run still equals the unsharded run byte for
+   byte. *)
+
+(* [f ()] with [registry] as the current metrics instance. *)
+let with_metrics registry f =
+  let prev = Obs.Metrics.install registry in
+  Fun.protect ~finally:(fun () -> ignore (Obs.Metrics.install prev)) f
+
 (* A pair whose run failed outright (exception outside the box-level
    isolation, retries exhausted): the whole domain is painted as a single
    error region so the campaign table still has a cell for it. *)
@@ -619,206 +631,29 @@ let error_outcome ~dfa ~condition ~domain ~retries msg =
     stats = { Outcome.zero_stats with Outcome.retries };
   }
 
-let find_resumed resumed ~dfa_label ~condition_name =
-  List.find_opt
-    (fun (o : Outcome.t) ->
-      String.equal o.Outcome.dfa dfa_label
-      && String.equal o.Outcome.condition condition_name)
-    resumed
-
 (* Pair-level supervision: retry a pair whose run raised with escalated
-   fuel, then give up with an [error_outcome]. Box-level isolation inside
-   [run] already absorbs solver failures, so this is the outer belt. *)
-let run_pair_supervised ~config (p : Encoder.problem) =
-  let dfa = p.Encoder.dfa.Registry.label
-  and condition = Conditions.name p.Encoder.condition in
+   fuel, then give up with an [error_outcome] at the root box path.
+   Box-level isolation inside the run already absorbs solver failures, so
+   this is the outer belt. Returns the outcome and its region paths. *)
+let run_pair_supervised ~config ~shard (p : Encoder.problem) =
+  let dfa_label = p.Encoder.dfa.Registry.label
+  and condition_label = Conditions.name p.Encoder.condition
+  and domain = p.Encoder.domain in
   let rec go k =
-    let cfg =
+    let solver =
       {
-        config with
-        solver =
-          {
-            config.solver with
-            Icp.fuel =
-              escalated_fuel config.solver.Icp.fuel config.retry.fuel_growth k;
-          };
+        config.solver with
+        Icp.fuel =
+          escalated_fuel config.solver.Icp.fuel config.retry.fuel_growth k;
       }
     in
-    match run ~config:cfg p with
-    | o when k = 0 -> o
-    | o ->
-        (* surface the pair-level attempts alongside the box-level ones *)
-        {
-          o with
-          Outcome.stats =
-            {
-              o.Outcome.stats with
-              Outcome.retries = o.Outcome.stats.Outcome.retries + k;
-            };
-        }
-    | exception e ->
-        if k < config.retry.max_retries then go (k + 1)
-        else
-          error_outcome ~dfa ~condition ~domain:p.Encoder.domain ~retries:k
-            (Printexc.to_string e)
-  in
-  go 0
-
-let campaign ?(config = default_config) ?checkpoint ?resume dfas =
-  let problems =
-    Obs.Metrics.time_phase Obs.Metrics.Encode (fun () ->
-        Encoder.encode_all dfas)
-  in
-  let header =
-    {
-      Serialize.config_hash = config_hash config;
-      formula_hash = formula_hash problems;
-      shard = None;
-    }
-  in
-  let resumed =
-    match resume with
-    | None -> []
-    | Some path -> Serialize.load_checkpoint ~expect:header path
-  in
-  Option.iter
-    (fun path ->
-      (* a checkpoint that survived a kill may end in a torn line; truncate
-         it before appending — unconditionally, not only when resuming from
-         the same path, or appends after the torn tail would be invisible
-         to every loader (they stop at the first malformed line) *)
-      ignore (Serialize.repair_checkpoint path);
-      Serialize.ensure_header path header)
-    checkpoint;
-  List.map
-    (fun (p : Encoder.problem) ->
-      match
-        find_resumed resumed ~dfa_label:p.Encoder.dfa.Registry.label
-          ~condition_name:(Conditions.name p.Encoder.condition)
-      with
-      | Some o -> o
-      | None ->
-          let o = run_pair_supervised ~config p in
-          Obs.Metrics.incr m_pairs 1;
-          (* one flushed line per completed pair: a SIGKILL loses at
-             most the pair in flight, and resume replays the rest *)
-          Option.iter
-            (fun path ->
-              Serialize.append path [ o ];
-              Obs.Metrics.incr m_ckpt 1)
-            checkpoint;
-          o)
-    problems
-
-let campaign_parallel ?(config = default_config) ?checkpoint ?resume ~workers
-    dfas =
-  (* Expressions must be hash-consed on the main domain (the cons table is
-     unsynchronized); encode everything first, then fan the construction-free
-     solver runs out over the pool. *)
-  let problems =
-    Obs.Metrics.time_phase Obs.Metrics.Encode (fun () ->
-        Encoder.encode_all dfas)
-  in
-  let header =
-    {
-      Serialize.config_hash = config_hash config;
-      formula_hash = formula_hash problems;
-      shard = None;
-    }
-  in
-  let resumed =
-    match resume with
-    | None -> []
-    | Some path -> Serialize.load_checkpoint ~expect:header path
-  in
-  Option.iter
-    (fun path ->
-      (* same torn-tail discipline as [campaign]: repair before appending *)
-      ignore (Serialize.repair_checkpoint path);
-      Serialize.ensure_header path header)
-    checkpoint;
-  let fresh, reused =
-    List.partition
-      (fun (p : Encoder.problem) ->
-        Option.is_none
-          (find_resumed resumed ~dfa_label:p.Encoder.dfa.Registry.label
-             ~condition_name:(Conditions.name p.Encoder.condition)))
-      problems
-  in
-  ignore reused;
-  let outcomes =
-    List.map2
-      (fun (p : Encoder.problem) result ->
-        match result with
-        | Ok o -> o
-        | Error e ->
-            error_outcome ~dfa:p.Encoder.dfa.Registry.label
-              ~condition:(Conditions.name p.Encoder.condition)
-              ~domain:p.Encoder.domain ~retries:config.retry.max_retries
-              (Printexc.to_string e))
-      fresh
-      (Pool.map_result ~workers (run_pair_supervised ~config) fresh)
-  in
-  Obs.Metrics.incr m_pairs (List.length outcomes);
-  Option.iter
-    (fun path ->
-      Serialize.append path outcomes;
-      Obs.Metrics.incr m_ckpt 1)
-    checkpoint;
-  (* splice resumed outcomes back in canonical pair order *)
-  List.filter_map
-    (fun (p : Encoder.problem) ->
-      match
-        find_resumed resumed ~dfa_label:p.Encoder.dfa.Registry.label
-          ~condition_name:(Conditions.name p.Encoder.condition)
-      with
-      | Some o -> Some o
-      | None ->
-          List.find_opt
-            (fun (o : Outcome.t) ->
-              String.equal o.Outcome.dfa p.Encoder.dfa.Registry.label
-              && String.equal o.Outcome.condition
-                   (Conditions.name p.Encoder.condition))
-            outcomes)
-    problems
-
-(* ------------------------------------------------------------------ *)
-(* Sharded campaigns: one process runs [shard i/N] of every pair's box
-   tree and appends to its own checkpoint, whose entries carry the paint
-   paths and the pair's metrics snapshot. Each pair runs under a fresh
-   metrics instance so its snapshot is self-contained: the shard's final
-   metrics are the fold of its per-pair snapshots, which makes metrics
-   resumable — a killed and restarted shard recovers the metrics of its
-   completed pairs from the checkpoint, and the merged deterministic
-   section still equals the unsharded run byte for byte. *)
-
-let shard_header ~config ~problems (shard : shard_spec) =
-  {
-    Serialize.config_hash = config_hash config;
-    formula_hash = formula_hash problems;
-    shard = Some (shard.shard_index, shard.shard_count);
-  }
-
-(* Pair-level supervision for a sharded run, mirroring
-   [run_pair_supervised]. *)
-let run_sharded_supervised ~config ~shard (p : Encoder.problem) =
-  let dfa = p.Encoder.dfa.Registry.label
-  and condition = Conditions.name p.Encoder.condition in
-  let rec go k =
-    let cfg =
-      {
-        config with
-        solver =
-          {
-            config.solver with
-            Icp.fuel =
-              escalated_fuel config.solver.Icp.fuel config.retry.fuel_growth k;
-          };
-      }
-    in
-    match run_sharded ~config:cfg ~shard p with
+    match
+      run_custom_sharded ~config:{ config with solver } ~shard ~dfa_label
+        ~condition_label ~domain ~psi:p.Encoder.psi ()
+    with
     | o, paths when k = 0 -> (o, paths)
     | o, paths ->
+        (* surface the pair-level attempts alongside the box-level ones *)
         ( {
             o with
             Outcome.stats =
@@ -831,13 +666,35 @@ let run_sharded_supervised ~config ~shard (p : Encoder.problem) =
     | exception e ->
         if k < config.retry.max_retries then go (k + 1)
         else
-          ( error_outcome ~dfa ~condition ~domain:p.Encoder.domain ~retries:k
-              (Printexc.to_string e),
+          ( error_outcome ~dfa:dfa_label ~condition:condition_label ~domain
+              ~retries:k (Printexc.to_string e),
             [ [] ] )
   in
   go 0
 
-let shard_campaign ?(config = default_config) ~shard ~checkpoint ?resume
+(* A resume file must carry this campaign's header: same config and
+   formula hashes, same shard coordinates. Headers without coordinates
+   (and headerless files) predate the single checkpoint format. *)
+let check_resumable ~path ~(header : Serialize.header) (ck : Serialize.checkpoint)
+    =
+  match ck.Serialize.cp_header with
+  | Some ({ Serialize.shard = Some _; _ } as h) ->
+      Serialize.check_header ~path ~expect:header h;
+      if h.Serialize.shard <> header.Serialize.shard then
+        let i, n = Option.get header.Serialize.shard in
+        failwith
+          (Printf.sprintf
+             "%s: checkpoint belongs to a different shard (expected %d/%d)"
+             path i n)
+  | _ ->
+      failwith
+        (Printf.sprintf
+           "%s: not a campaign checkpoint in the current format (no header \
+            with shard coordinates) — start a fresh run"
+           path)
+
+let campaign ?(config = default_config)
+    ?(shard = { shard_index = 0; shard_count = 1 }) ?checkpoint ?resume
     ?(on_pair = fun (_ : Outcome.t) -> ()) dfas =
   if
     shard.shard_count < 1
@@ -845,50 +702,46 @@ let shard_campaign ?(config = default_config) ~shard ~checkpoint ?resume
     || shard.shard_index >= shard.shard_count
   then
     invalid_arg
-      (Printf.sprintf "Verify.shard_campaign: bad shard %d/%d"
-         shard.shard_index shard.shard_count);
+      (Printf.sprintf "Verify.campaign: bad shard %d/%d" shard.shard_index
+         shard.shard_count);
+  (* the campaign's own instance holds the encode time and, read last,
+     the campaign's elapsed wall time *)
+  let own = Obs.Metrics.fresh () in
   let problems =
-    Obs.Metrics.time_phase Obs.Metrics.Encode (fun () ->
-        Encoder.encode_all dfas)
+    with_metrics own (fun () ->
+        Obs.Metrics.time_phase Obs.Metrics.Encode (fun () ->
+            Encoder.encode_all dfas))
   in
-  let header = shard_header ~config ~problems shard in
+  let header =
+    {
+      Serialize.config_hash = config_hash config;
+      formula_hash = formula_hash problems;
+      shard = Some (shard.shard_index, shard.shard_count);
+    }
+  in
   let resumed =
     match resume with
     | Some path when Sys.file_exists path ->
         let ck = Serialize.read_checkpoint path in
-        (match ck.Serialize.cp_header with
-        | None ->
-            failwith
-              (Printf.sprintf "%s: shard checkpoint has no campaign header"
-                 path)
-        | Some h ->
-            Serialize.check_header ~path ~expect:header h;
-            (match h.Serialize.shard with
-            | Some (i, n)
-              when i = shard.shard_index && n = shard.shard_count ->
-                ()
-            | _ ->
-                failwith
-                  (Printf.sprintf
-                     "%s: checkpoint belongs to a different shard (expected \
-                      %d/%d)"
-                     path shard.shard_index shard.shard_count)));
-        if path = checkpoint then
-          (* truncate any torn tail before appending new entries *)
-          (Serialize.repair_checkpoint checkpoint).Serialize.entries
-        else begin
-          (* resuming into a different file: rewrite header + entries so
-             the new checkpoint is self-contained for the merge *)
-          Serialize.write_header checkpoint header;
-          Serialize.append_entries checkpoint ck.Serialize.entries;
-          ck.Serialize.entries
-        end
-    | _ ->
-        (* fresh shard run: a stale checkpoint from an earlier attempt must
-           not survive underneath the new one *)
-        Serialize.write_header checkpoint header;
-        []
+        check_resumable ~path ~header ck;
+        ck.Serialize.entries
+    | _ -> []
   in
+  Option.iter
+    (fun path ->
+      if resume = Some path && resumed <> [] then
+        (* appending after the reused entries: truncate the torn tail a
+           kill left behind first, or every loader would stop before the
+           new entries *)
+        ignore (Serialize.repair_checkpoint path)
+      else begin
+        (* a fresh run truncates whatever was at [path]; a resume into
+           another file copies the reused entries, so the new checkpoint
+           is self-contained *)
+        Serialize.write_header path header;
+        Serialize.append_entries path resumed
+      end)
+    checkpoint;
   let find_entry (p : Encoder.problem) =
     List.find_opt
       (fun (e : Serialize.entry) ->
@@ -903,38 +756,41 @@ let shard_campaign ?(config = default_config) ~shard ~checkpoint ?resume
       (fun (p : Encoder.problem) ->
         match find_entry p with
         | Some e ->
-            let paths = Option.value e.Serialize.paths ~default:[] in
-            let snap =
-              match e.Serialize.metrics_json with
-              | Some j -> Serialize.metrics_of_json_string j
-              | None -> Obs.Metrics.empty_snapshot
-            in
-            ((e.Serialize.outcome, paths), snap)
+            ( e.Serialize.outcome,
+              Option.fold ~none:Obs.Metrics.empty_snapshot
+                ~some:Serialize.metrics_of_json_string e.Serialize.metrics_json
+            )
         | None ->
-            let prev = Obs.Metrics.install (Obs.Metrics.fresh ()) in
-            let o, paths, snap =
-              Fun.protect
-                ~finally:(fun () -> ignore (Obs.Metrics.install prev))
-                (fun () ->
-                  let o, paths = run_sharded_supervised ~config ~shard p in
+            let registry = Obs.Metrics.fresh () in
+            let o, paths =
+              with_metrics registry (fun () ->
+                  let r = run_pair_supervised ~config ~shard p in
                   (* the trunk owner also owns campaign-level accounting:
                      merged pair counts must equal the unsharded run *)
                   if shard.shard_index = 0 then Obs.Metrics.incr m_pairs 1;
-                  (o, paths, Obs.Metrics.snapshot ()))
+                  if checkpoint <> None then Obs.Metrics.incr m_ckpt 1;
+                  Obs.Progress.carry ();
+                  r)
             in
-            Serialize.append_entries checkpoint
-              [
-                {
-                  Serialize.outcome = o;
-                  paths = Some paths;
-                  metrics_json = Some (Obs.Metrics.to_json snap);
-                };
-              ];
-            Obs.Metrics.incr m_ckpt 1;
+            let snap = Obs.Metrics.snapshot ~registry () in
+            (* one flushed line per completed pair: a SIGKILL loses at most
+               the pair in flight, and resume replays the rest *)
+            Option.iter
+              (fun path ->
+                Serialize.append_entries path
+                  [
+                    {
+                      Serialize.outcome = o;
+                      paths = Some paths;
+                      metrics_json = Some (Obs.Metrics.to_json snap);
+                    };
+                  ])
+              checkpoint;
             on_pair o;
-            ((o, paths), snap))
+            (o, snap))
       problems
   in
   ( List.map fst pairs,
-    List.fold_left Obs.Metrics.merge Obs.Metrics.empty_snapshot
+    List.fold_left Obs.Metrics.merge
+      (Obs.Metrics.snapshot ~registry:own ())
       (List.map snd pairs) )

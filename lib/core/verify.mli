@@ -153,12 +153,6 @@ val run_custom_sharded :
   ?stop:(unit -> bool) -> dfa_label:string -> condition_label:string ->
   domain:Box.t -> psi:Form.atom -> unit -> Outcome.t * int list list
 
-(** [run_sharded ~shard problem] — {!run} for one shard; as
-    {!run_custom_sharded} for an encoded problem. *)
-val run_sharded :
-  ?config:config -> ?shard:shard_spec -> Encoder.problem ->
-  Outcome.t * int list list
-
 (** [config_hash config] — {!Serialize.digest} of the verdict-relevant
     configuration: threshold, solver fuel/delta/rounds/sample-check, fault
     plan, contractor and tape choices, split heuristic, retry policy.
@@ -173,64 +167,38 @@ val config_hash : config -> string
 val formula_hash : Encoder.problem list -> string
 
 (** [campaign ~config dfas] runs every applicable pair (Table I's rows x
-    columns), sequentially per pair (each pair still uses
-    [config.workers] domains internally).
+    columns) in canonical pair order, one pair at a time (each pair still
+    uses [config.workers] domains internally). [shard] restricts every
+    pair's box tree to that shard's slice; the default, shard 0 of 1, is
+    the unsharded campaign.
+
+    Every pair runs under its own fresh metrics instance. The call
+    returns the outcomes (for a shard, its slices) and the fold of the
+    per-pair snapshots — what [--metrics] writes.
 
     Supervision: a pair whose run raises (outside the box-level isolation)
     is retried per [config.retry] with escalated fuel and finally recorded
     as a single whole-domain {!Outcome.Error} region — the campaign never
     aborts on one pair.
 
-    [checkpoint], when given, appends each completed outcome to the file
-    (one s-expression line, flushed) as the campaign proceeds; a killed
-    campaign loses at most the pair in flight. [resume], when given, loads
-    outcomes from a previous checkpoint and reuses them for already-completed
-    (dfa, condition) pairs instead of re-running; the returned list is in the
-    same canonical pair order either way. Typically the same path is passed
-    as both. *)
-val campaign :
-  ?config:config -> ?checkpoint:string -> ?resume:string ->
-  Registry.t list -> Outcome.t list
+    [checkpoint], when given, is truncated to one {!Serialize.header} line
+    (config hash, formula hash, shard coordinates); each completed pair is
+    then appended as one flushed {!Serialize.entry} line carrying the
+    outcome, its region paths and the pair's metrics snapshot, so a killed
+    campaign loses at most the pair in flight.
 
-(** [campaign_parallel ~config ~workers dfas] — as {!campaign}, but fanned
-    out over a {!Pool} of domains at pair granularity. All formulas are
-    encoded on the calling domain first (expression hash-consing is not
-    thread-safe); the solver itself never builds expressions, so the
-    parallel runs are safe. Prefer per-pair workers ([config.workers]) for
-    few long pairs, this for many short ones.
-
-    Supervision, [checkpoint] and [resume] as in {!campaign}, except the
-    checkpoint is written once, after the pool drains (resume granularity
-    is the whole batch of fresh pairs). *)
-val campaign_parallel :
-  ?config:config -> ?checkpoint:string -> ?resume:string -> workers:int ->
-  Registry.t list -> Outcome.t list
-
-(** [shard_campaign ~shard ~checkpoint dfas] runs shard
-    [shard.shard_index] of [shard.shard_count] of the campaign,
-    sequentially per pair. Each pair runs under a private fresh metrics
-    instance; the completed pair is appended to [checkpoint] as one
-    flushed {!Serialize.entry} line carrying the outcome, its region
-    paths, and the pair's metrics snapshot JSON. The checkpoint starts
-    with a shard-coordinated {!Serialize.header}; a fresh run truncates
-    whatever was at [checkpoint] before.
-
-    [resume], when given, must be a shard checkpoint with a matching
-    header ([Failure] otherwise — config hash, formula hash and shard
-    coordinates are all checked); its completed pairs are reused, {e
-    including their metrics snapshots}, which is what keeps the merged
-    deterministic metrics byte-identical to the unsharded run even after
-    a shard was SIGKILLed and restarted. When [resume] is the checkpoint
-    path itself, a torn tail from the kill is truncated
-    ({!Serialize.repair_checkpoint}) before new entries are appended.
+    [resume], when given and present, must be a checkpoint with this
+    campaign's header ([Failure] otherwise). Its completed pairs are
+    reused, {e including their metrics snapshots}, so a resumed run
+    reproduces the fresh run's deterministic metrics. When [resume] is
+    the checkpoint path itself, a torn tail from the kill is truncated
+    ({!Serialize.repair_checkpoint}) before new entries are appended;
+    otherwise the reused entries are copied into the new checkpoint.
 
     [on_pair] fires after each fresh (non-resumed) pair is checkpointed —
-    the supervisor tests use it to kill a shard at a deterministic point.
-
-    Returns the per-pair [(outcome, paths)] list in canonical pair order
-    and the shard's folded metrics snapshot (the fold of its per-pair
-    snapshots — what a per-shard [--metrics] file should contain). *)
-val shard_campaign :
-  ?config:config -> shard:shard_spec -> checkpoint:string ->
+    the supervisor tests use it to kill a run at a deterministic point.
+    @raise Invalid_argument on a shard outside [0 <= index < count]. *)
+val campaign :
+  ?config:config -> ?shard:shard_spec -> ?checkpoint:string ->
   ?resume:string -> ?on_pair:(Outcome.t -> unit) -> Registry.t list ->
-  (Outcome.t * int list list) list * Obs.Metrics.snapshot
+  Outcome.t list * Obs.Metrics.snapshot

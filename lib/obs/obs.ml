@@ -487,6 +487,11 @@ module Progress = struct
   let c_pairs = Metrics.counter "campaign.pairs"
   let g_frontier = Metrics.gauge "worklist.depth"
 
+  (* Campaign totals of the pairs finished under metrics instances that
+     are no longer current (see [carry]). *)
+  let carried_pairs = Atomic.make 0
+  let carried_boxes = Atomic.make 0
+
   type cfg = {
     interval_ns : int;
     out : out_channel;
@@ -501,6 +506,8 @@ module Progress = struct
   let enable ?(interval_ns = 1_000_000_000) ?(out = stderr) ?(label = "")
       ~total_pairs () =
     Atomic.set last_emit (Clock.now_ns ());
+    Atomic.set carried_pairs 0;
+    Atomic.set carried_boxes 0;
     Atomic.set state
       (Some { interval_ns; out; total_pairs; start_ns = Clock.now_ns (); label })
 
@@ -516,9 +523,13 @@ module Progress = struct
     | None -> ()
     | Some cfg -> Atomic.set state (Some { cfg with label })
 
+  let carry () =
+    ignore (Atomic.fetch_and_add carried_pairs (Metrics.read c_pairs));
+    ignore (Atomic.fetch_and_add carried_boxes (Metrics.read c_boxes))
+
   let emit cfg now =
-    let boxes = Metrics.read c_boxes in
-    let pairs = Metrics.read c_pairs in
+    let boxes = Atomic.get carried_boxes + Metrics.read c_boxes in
+    let pairs = Atomic.get carried_pairs + Metrics.read c_pairs in
     let frontier = Metrics.gauge_get g_frontier in
     let elapsed = float_of_int (now - cfg.start_ns) /. 1e9 in
     let rate = if elapsed > 0.0 then float_of_int boxes /. elapsed else 0.0 in

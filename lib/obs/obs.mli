@@ -162,6 +162,12 @@ module Progress : sig
   val relabel : string -> unit
 
   val tick : unit -> unit
+
+  (** [carry ()] adds the current instance's pair and box counts to the
+      line's running totals. A campaign calls it at the end of each pair,
+      which runs under its own metrics instance, so the line keeps
+      reporting campaign totals. *)
+  val carry : unit -> unit
 end
 
 (** [validate_output_path p] checks up front that [p] could be created or

@@ -27,7 +27,6 @@ let () =
       ("pb-baseline", Test_pb.suite);
       ("report", Test_report.suite);
       ("parallel", Test_parallel.suite);
-      ("kohn-sham", Test_ks.suite);
       ("serialize", Test_serialize.suite);
       ("resilience", Test_resilience.suite);
       ("shard", Test_shard.suite);

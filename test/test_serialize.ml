@@ -166,6 +166,14 @@ let test_retry_event_roundtrip () =
       Alcotest.(check int) "retry fuel counted" 42 (Trace.total_fuel [ ev' ])
   | evs -> Alcotest.failf "expected one event, got %d" (List.length evs)
 
+let entry ?paths ?metrics_json outcome =
+  { Serialize.outcome; paths; metrics_json }
+
+let checkpoint_outcomes path =
+  List.map
+    (fun e -> e.Serialize.outcome)
+    (Serialize.read_checkpoint path).Serialize.entries
+
 let test_checkpoint_roundtrip () =
   let path = Filename.temp_file "xcv" ".checkpoint" in
   Fun.protect
@@ -173,15 +181,20 @@ let test_checkpoint_roundtrip () =
     (fun () ->
       Sys.remove path;
       Alcotest.(check int) "missing file loads empty" 0
-        (List.length (Serialize.load_checkpoint path));
+        (List.length (checkpoint_outcomes path));
       let a = outcome "lyp" "ec1" and b = error_out "boom" in
-      Serialize.append path [ a ];
-      Serialize.append path [ b ];
-      let loaded = Serialize.load_checkpoint path in
+      Serialize.append_entries path [ entry a ];
+      Serialize.append_entries path
+        [ entry ~paths:[ [] ] ~metrics_json:"{\"version\":1}" b ];
+      let ck = Serialize.read_checkpoint path in
       Alcotest.(check int) "incremental appends accumulate" 2
-        (List.length loaded);
+        (List.length ck.Serialize.entries);
+      let e = List.nth ck.Serialize.entries 1 in
       Alcotest.(check string) "order preserved" "synthetic"
-        (List.nth loaded 1).Outcome.dfa)
+        e.Serialize.outcome.Outcome.dfa;
+      check_true "paths survive" (e.Serialize.paths = Some [ [] ]);
+      Alcotest.(check (option string)) "metrics survive"
+        (Some "{\"version\":1}") e.Serialize.metrics_json)
 
 let test_checkpoint_torn_tail () =
   (* a SIGKILL mid-write leaves a torn last line: the valid prefix must
@@ -190,11 +203,13 @@ let test_checkpoint_torn_tail () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Serialize.append path [ error_out "first" ];
+      Serialize.append_entries path [ entry (error_out "first") ];
       let oc = open_out_gen [ Open_append ] 0o644 path in
-      output_string oc "(outcome 3 (dfa trunc";
+      output_string oc "(entry (outcome 3 (dfa trunc";
       close_out oc;
-      let loaded = Serialize.load_checkpoint path in
+      check_true "torn tail detected"
+        (Serialize.read_checkpoint path).Serialize.truncated;
+      let loaded = checkpoint_outcomes path in
       Alcotest.(check int) "valid prefix survives the torn tail" 1
         (List.length loaded);
       check_true "prefix content intact"

@@ -860,7 +860,7 @@ let test_campaign_repairs_before_append () =
   let cfg = quick_verify () in
   let lyp = [ Registry.find "lyp" ] in
   let p = Filename.concat (temp_dir ()) "camp.ckpt" in
-  let first = Verify.campaign ~config:cfg ~checkpoint:p lyp in
+  let first, _ = Verify.campaign ~config:cfg ~checkpoint:p lyp in
   let n = List.length first in
   check_true "campaign has pairs" (n >= 1);
   let clean = read_file p in
@@ -870,7 +870,7 @@ let test_campaign_repairs_before_append () =
   output_string oc (String.sub clean 0 torn_at);
   close_out oc;
   check_true "tail is torn" (Serialize.read_checkpoint p).Serialize.truncated;
-  let second = Verify.campaign ~config:cfg ~checkpoint:p ~resume:p lyp in
+  let second, _ = Verify.campaign ~config:cfg ~checkpoint:p ~resume:p lyp in
   Alcotest.(check int) "same pair count" n (List.length second);
   let ck = Serialize.read_checkpoint p in
   check_false "repaired before appending" ck.Serialize.truncated;
@@ -884,6 +884,95 @@ let test_campaign_repairs_before_append () =
         (bytes_of (strip_elapsed a))
         (bytes_of (strip_elapsed b)))
     first second
+
+(* ---- CLI flag resolution ------------------------------------------------ *)
+
+(* Run the installed CLI to completion; its exit code and combined
+   stdout/stderr. *)
+let run_cli cli args =
+  let log = Filename.temp_file "xcvcli" ".log" in
+  let fd = Unix.openfile log [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
+  let pid =
+    Unix.create_process cli (Array.of_list (cli :: args)) Unix.stdin fd fd
+  in
+  Unix.close fd;
+  let code =
+    match Unix.waitpid [] pid with _, Unix.WEXITED c -> c | _ -> -1
+  in
+  let out = read_file log in
+  Sys.remove log;
+  (code, out)
+
+let count_sub s sub =
+  let n = String.length sub in
+  let rec go i acc =
+    if i + n > String.length s then acc
+    else go (i + 1) (if String.sub s i n = sub then acc + 1 else acc)
+  in
+  go 0 0
+
+(* -j past the recommended domain count warns exactly once on stderr, and
+   a fitting -j stays silent. Only the workers=4 pass runs it. *)
+let test_cli_warns_oversubscribed () =
+  match Sys.getenv_opt "XCV_CLI" with
+  | None -> ()
+  | Some _ when test_workers = 1 -> ()
+  | Some cli ->
+      let warnings j =
+        let code, out =
+          run_cli cli
+            [ "verify"; "-d"; "pz81"; "-c"; "ec1"; "-j"; string_of_int j ]
+        in
+        Alcotest.(check int) "verify exits 0" 0 code;
+        count_sub out "warning: -j"
+      in
+      let cores = Domain.recommended_domain_count () in
+      Alcotest.(check int) "one warning past the core count" 1
+        (warnings (cores + 1));
+      Alcotest.(check int) "no warning at the core count" 0 (warnings cores)
+
+(* --quick supplies defaults, explicit flags override them. A resume file
+   with a foreign config hash makes the CLI stop before solving and name
+   the config hash it resolved from its flags. *)
+let test_cli_quick_yields_to_flags () =
+  match Sys.getenv_opt "XCV_CLI" with
+  | None -> ()
+  | Some _ when test_workers = 1 -> ()
+  | Some cli ->
+      let ckpt = Filename.concat (temp_dir ()) "foreign.ckpt" in
+      Serialize.write_header ckpt
+        {
+          Serialize.config_hash = "foreign";
+          formula_hash = "foreign";
+          shard = Some (0, 1);
+        };
+      let resolves_to args cfg =
+        let code, out =
+          run_cli cli ([ "campaign"; "--quick"; "--resume"; ckpt ] @ args)
+        in
+        Alcotest.(check int) "foreign checkpoint refused" 2 code;
+        contains_sub out ("expected " ^ Verify.config_hash cfg)
+      in
+      (* the ambient fault hook applies under every preset *)
+      let quick =
+        {
+          Verify.quick_config with
+          solver =
+            { Verify.quick_config.Verify.solver with Icp.faults = Fault.of_env () };
+        }
+      in
+      check_true "--quick alone is quick_config" (resolves_to [] quick);
+      check_true "--quick --fuel 10 runs at fuel 10"
+        (resolves_to [ "--fuel"; "10" ]
+           { quick with solver = { quick.Verify.solver with Icp.fuel = 10 } });
+      check_true "--quick --threshold 0.5 --retries 1 keeps both"
+        (resolves_to
+           [ "--threshold"; "0.5"; "--retries"; "1" ]
+           {
+             quick with
+             Verify.threshold = 0.5;
+             retry = { quick.Verify.retry with Verify.max_retries = 1 };
+           })
 
 let sh_spawn code ~shard:_ ~resume:_ =
   Unix.create_process "/bin/sh" [| "/bin/sh"; "-c"; code |] Unix.stdin
@@ -985,4 +1074,7 @@ let suite =
     case "supervisor names the dead shard" test_supervisor_names_dead_shard;
     case "supervisor reaps on success" test_supervisor_success_reaps;
     case "progress relabel" test_progress_relabel;
+    case "CLI warns once on -j past the core count"
+      test_cli_warns_oversubscribed;
+    case "CLI --quick yields to explicit flags" test_cli_quick_yields_to_flags;
   ]

@@ -229,18 +229,14 @@ let shard_files =
     (let base = Filename.concat (temp_dir ()) "camp" in
      for i = 0 to 1 do
        ignore
-         (Verify.shard_campaign ~config:campaign_cfg
+         (Verify.campaign ~config:campaign_cfg
             ~shard:{ Verify.shard_index = i; shard_count = 2 }
             ~checkpoint:(Shard_merge.shard_path base i)
             lyp)
      done;
      base)
 
-let unsharded_campaign =
-  lazy
-    (with_fresh_instance @@ fun () ->
-     let outcomes = Verify.campaign ~config:campaign_cfg lyp in
-     (outcomes, Obs.Metrics.snapshot ()))
+let unsharded_campaign = lazy (Verify.campaign ~config:campaign_cfg lyp)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -367,9 +363,9 @@ let test_config_hash_scope () =
     (Verify.config_hash cfg
     = Verify.config_hash { cfg with Verify.deadline_seconds = Some 1.0 })
 
-(* Serialize.load_checkpoint used to accept a checkpoint whose fuel config
-   differed from the resuming run; the header guard must reject it before
-   any solving happens. *)
+(* Resume once accepted a checkpoint whose fuel config differed from the
+   resuming run; the header guard must reject it before any solving
+   happens. *)
 let test_resume_rejects_config_change () =
   let cfg' =
     {
@@ -381,7 +377,7 @@ let test_resume_rejects_config_change () =
     {
       Serialize.config_hash = Verify.config_hash campaign_cfg;
       formula_hash = Verify.formula_hash (Encoder.encode_all lyp);
-      shard = None;
+      shard = Some (0, 1);
     }
   in
   let path = Filename.temp_file "xcv" ".ckpt" in
@@ -402,7 +398,7 @@ let test_shard_resume_rejects_wrong_coords () =
   let ckpt = Shard_merge.shard_path dest 0 in
   try
     ignore
-      (Verify.shard_campaign ~config:campaign_cfg
+      (Verify.campaign ~config:campaign_cfg
          ~shard:{ Verify.shard_index = 0; shard_count = 2 }
          ~checkpoint:ckpt
          ~resume:(Shard_merge.shard_path base 1)
@@ -498,7 +494,7 @@ let test_torn_resume_merges_identically () =
   let ckpt0 = Shard_merge.shard_path dest 0 in
   (try
      ignore
-       (Verify.shard_campaign ~config:campaign_cfg
+       (Verify.campaign ~config:campaign_cfg
           ~shard:{ Verify.shard_index = 0; shard_count = 2 }
           ~checkpoint:ckpt0
           ~on_pair:(fun _ ->
@@ -510,7 +506,7 @@ let test_torn_resume_merges_identically () =
      Alcotest.fail "the first attempt should have died after one pair"
    with Killed -> ());
   ignore
-    (Verify.shard_campaign ~config:campaign_cfg
+    (Verify.campaign ~config:campaign_cfg
        ~shard:{ Verify.shard_index = 0; shard_count = 2 }
        ~checkpoint:ckpt0 ~resume:ckpt0 lyp);
   write_file
