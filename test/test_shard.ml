@@ -408,6 +408,106 @@ let test_shard_resume_rejects_wrong_coords () =
     check_true "error names the shard coordinates"
       (contains_sub msg "shard")
 
+(* ---- the single checkpoint format ------------------------------------ *)
+
+(* A finished checkpoint of every lyp pair, under a header for [shard] and
+   [dfas]' formulas: one-region entries whose metrics count [i + 1] on the
+   first deterministic counter. *)
+let finished_checkpoint ?(shard = Some (0, 1)) ?(dfas = lyp) path =
+  let zero = Obs.Metrics.snapshot ~registry:(Obs.Metrics.fresh ()) () in
+  let entry i (p : Encoder.problem) =
+    let domain = p.Encoder.domain and c = zero.Obs.Metrics.counters in
+    let counters = (fst (List.hd c), i + 1) :: List.tl c in
+    {
+      Serialize.outcome =
+        {
+          dfa = p.Encoder.dfa.Registry.label;
+          condition = Conditions.name p.Encoder.condition;
+          domain;
+          regions = [ { box = domain; status = Verified; depth = 0 } ];
+          stats = Outcome.zero_stats;
+        };
+      paths = Some [ [] ];
+      metrics_json = Some (Obs.Metrics.to_json { zero with counters });
+    }
+  in
+  Serialize.write_header path
+    {
+      config_hash = Verify.config_hash campaign_cfg;
+      formula_hash = Verify.formula_hash (Encoder.encode_all dfas);
+      shard;
+    };
+  Serialize.append_entries path (List.mapi entry (Encoder.encode_all lyp))
+
+let entries p = (Serialize.read_checkpoint p).Serialize.entries
+let no_pair _ = Alcotest.fail "no pair may run"
+
+(* Checkpoints a resume refuses before any pair runs, each with a word of
+   its refusal; the first two are the pre-driver unsharded format. *)
+let refusals =
+  let outcome_line e = Serialize.to_string e.Serialize.outcome ^ "\n" in
+  [
+    ( "a headerless checkpoint", "current format",
+      fun p ->
+        finished_checkpoint p;
+        write_file p (String.concat "" (List.map outcome_line (entries p))) );
+    ( "a header without shard coordinates", "current format",
+      fun p -> finished_checkpoint ~shard:None p );
+    ( "another shard's checkpoint", "different shard",
+      fun p -> finished_checkpoint ~shard:(Some (1, 2)) p );
+    ( "another campaign's checkpoint", "different campaign",
+      fun p -> finished_checkpoint ~dfas:[ Registry.find "pbe" ] p );
+  ]
+
+let refusal_case (what, word, write) =
+  case ("resume refuses " ^ what) (fun () ->
+      let p = Filename.concat (temp_dir ()) "old.ckpt" in
+      write p;
+      match
+        Verify.campaign ~config:campaign_cfg ~resume:p ~on_pair:no_pair lyp
+      with
+      | exception Failure msg -> check_true word (contains_sub msg word)
+      | _ -> Alcotest.failf "%s must be refused" what)
+
+let test_fresh_checkpoint_truncates () =
+  let p = Filename.concat (temp_dir ()) "stale.ckpt" in
+  finished_checkpoint p;
+  ignore (Verify.campaign ~config:campaign_cfg ~checkpoint:p []);
+  check_true "only a header is left" (entries p = [])
+
+(* --checkpoint B --resume A reuses A's pairs with their metrics and
+   leaves B a copy of A. *)
+let test_resume_into_another_file () =
+  let a = Filename.concat (temp_dir ()) "a.ckpt" in
+  let b = a ^ ".b" in
+  finished_checkpoint a;
+  write_file b "stale\n";
+  let outcomes, metrics =
+    Verify.campaign ~config:campaign_cfg ~checkpoint:b ~resume:a
+      ~on_pair:no_pair lyp
+  in
+  let metrics_of e =
+    Serialize.metrics_of_json_string (Option.get e.Serialize.metrics_json)
+  in
+  check_true "outcomes reused"
+    (List.map (fun e -> e.Serialize.outcome) (entries a) = outcomes);
+  Alcotest.(check string) "metrics reused"
+    (Obs.Metrics.deterministic_json
+       (List.fold_left Obs.Metrics.merge Obs.Metrics.empty_snapshot
+          (List.map metrics_of (entries a))))
+    (Obs.Metrics.deterministic_json metrics);
+  Alcotest.(check string) "B is a copy of A" (read_file a) (read_file b)
+
+(* Resuming a finished checkpoint in place runs nothing and leaves it. *)
+let test_resume_finished_in_place () =
+  let p = Filename.concat (temp_dir ()) "done.ckpt" in
+  finished_checkpoint p;
+  let before = read_file p in
+  ignore
+    (Verify.campaign ~config:campaign_cfg ~checkpoint:p ~resume:p
+       ~on_pair:no_pair lyp);
+  Alcotest.(check string) "checkpoint unchanged" before (read_file p)
+
 (* ---- golden fixture --------------------------------------------------- *)
 
 let golden_path = "fixtures/shard_merge_golden.json"
@@ -621,4 +721,8 @@ let suite =
       test_torn_resume_merges_identically;
     slow_case "SIGKILLed shards restart and merge identically (CLI)"
       test_sigkill_under_supervisor;
+    case "fresh checkpoint truncates" test_fresh_checkpoint_truncates;
+    case "resume into another file" test_resume_into_another_file;
+    case "resume a finished checkpoint" test_resume_finished_in_place;
   ]
+  @ List.map refusal_case refusals
