@@ -1,7 +1,5 @@
-(* Benchmark & reproduction harness.
-
-   One target per table/figure of the paper, plus ablations and Bechamel
-   micro-benchmarks:
+(* Paper-reproduction harness: one target per table/figure of the paper,
+   plus ablations:
 
      dune exec bench/main.exe               -- everything below, in order
      dune exec bench/main.exe table1        -- Table I  (verification verdicts)
@@ -10,23 +8,15 @@
      dune exec bench/main.exe fig2          -- Figure 2 (LYP region maps)
      dune exec bench/main.exe boundaries    -- Sec. IV-B violation boundaries
      dune exec bench/main.exe ablation      -- Sec. VI-A + design ablations
-     dune exec bench/main.exe scheduler     -- worklist scaling + trace check
-     dune exec bench/main.exe micro         -- Bechamel micro-benchmarks
-     dune exec bench/main.exe hc4           -- tree HC4 vs compiled interval tape
-                                              vs the batched native JIT kernel
-                                              (jit.* metrics: speedup, compile
-                                              latency, batch-size sweep)
+     dune exec bench/main.exe taylor        -- mean-value-form contractor
+     dune exec bench/main.exe extensions    -- extension conditions
 
-   Pass `--json` (anywhere in the argument list) to additionally write
-   BENCH_<target>.json for every target run: the target name, its
-   wall-clock, and every metric the target recorded (expansions, prunes,
-   revise_calls, speedups, ...). `dune build @bench-smoke` runs the hc4
-   target this way with tiny budgets as a harness smoke test.
+   Performance is measured by perfbench/ (fixed-work workloads and a
+   per-layer ladder: interval kernels, HC4 contraction, the JIT, the
+   parallel worklist and the service), not here.
 
    Environment knobs: XCV_BENCH_FUEL (campaign solver fuel per call,
-   default 300), XCV_BENCH_DEADLINE (seconds per pair, default 15),
-   XCV_BENCH_QUOTA (Bechamel seconds per micro-benchmark, default 0.5),
-   XCV_BENCH_ICP_FUEL (fuel for the split-heuristic grid, default 20000).
+   default 300), XCV_BENCH_DEADLINE (seconds per pair, default 15).
    The absolute wall-clock numbers are machine-dependent; the *verdicts*
    and region shapes are the reproduction targets (see EXPERIMENTS.md). *)
 
@@ -42,33 +32,6 @@ let getenv_float name default =
 
 let bench_fuel = getenv_int "XCV_BENCH_FUEL" 300
 let bench_deadline = getenv_float "XCV_BENCH_DEADLINE" 15.0
-let bench_quota = getenv_float "XCV_BENCH_QUOTA" 0.5
-let bench_icp_fuel = getenv_int "XCV_BENCH_ICP_FUEL" 20_000
-
-(* --json: machine-readable results. Targets push (key, value) pairs while
-   they run; the driver writes BENCH_<target>.json after each target. The
-   format is a single flat object -- target, wall_clock_s, then the metrics
-   in recording order -- so downstream tooling needs no schema. *)
-let json_enabled = ref false
-let json_metrics : (string * float) list ref = ref []
-
-let record_metric key value =
-  if !json_enabled then json_metrics := (key, value) :: !json_metrics
-
-let json_float v =
-  if Float.is_finite v then Printf.sprintf "%.17g" v else "null"
-
-let write_json target wall =
-  let path = Printf.sprintf "BENCH_%s.json" target in
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"target\": %S,\n  \"wall_clock_s\": %s" target
-    (json_float wall);
-  List.iter
-    (fun (k, v) -> Printf.fprintf oc ",\n  %S: %s" k (json_float v))
-    (List.rev !json_metrics);
-  output_string oc "\n}\n";
-  close_out oc;
-  Printf.printf "(wrote %s)\n%!" path
 
 let campaign_config =
   {
@@ -461,799 +424,21 @@ let ablation_taylor () =
     \ derivatives; whether that pays for itself is budget-dependent and\n\
     \ measured standalone it does not.)"
 
-(* ------------------------------------------------------------------ *)
-(* Scheduler: worklist scaling + trace telemetry consistency           *)
-(* ------------------------------------------------------------------ *)
-
-let scheduler () =
-  section "Worklist scheduler: PBE campaign at 1 vs default_workers domains";
-  let pbe = Registry.find "pbe" in
-  let time_campaign workers =
-    let config = { campaign_config with workers } in
-    let t0 = Unix.gettimeofday () in
-    let outcomes, _ = Verify.campaign ~config [ pbe ] in
-    (outcomes, Unix.gettimeofday () -. t0)
-  in
-  let seq, t_seq = time_campaign 1 in
-  let workers = Pool.default_workers () in
-  let par, t_par = time_campaign workers in
-  Printf.printf "workers=1:  %.2fs over %d pairs\n" t_seq (List.length seq);
-  Printf.printf "workers=%d:  %.2fs over %d pairs  (speedup %.2fx)\n" workers
-    t_par (List.length par) (t_seq /. t_par);
-  List.iter2
-    (fun a b ->
-      let sym o = Outcome.classification_symbol (Outcome.classify o) in
-      Printf.printf "  %-6s %-4s: %-3s vs %-3s %s  (%d vs %d solver calls)\n"
-        a.Outcome.dfa a.Outcome.condition (sym a) (sym b)
-        (if sym a = sym b then "agree" else "DISAGREE")
-        a.Outcome.stats.Outcome.solver_calls b.Outcome.stats.Outcome.solver_calls)
-    seq par;
-  print_newline ();
-  (* telemetry consistency: the per-box solve events must account for every
-     unit of fuel the aggregate reports *)
-  let recorder = Trace.create () in
-  let config = { campaign_config with workers } in
-  (match Verify.run_pair ~config ~recorder pbe Conditions.Ec1 with
-  | None -> ()
-  | Some o ->
-      let events = Trace.events recorder in
-      let fuel = Trace.total_fuel events in
-      Printf.printf
-        "trace: %d events for pbe/ec1; solve fuel sum %d vs \
-         stats.total_expansions %d  (%s)\n"
-        (List.length events) fuel o.Outcome.stats.Outcome.total_expansions
-        (if fuel = o.Outcome.stats.Outcome.total_expansions then "consistent"
-         else "INCONSISTENT"));
-  print_newline ()
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                           *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  section "Micro-benchmarks (Bechamel, monotonic clock)";
-  let open Bechamel in
-  let open Toolkit in
-  let pbe = Registry.find "pbe" in
-  let f_c = Enhancement.f_of (Option.get pbe.Registry.eps_c) in
-  let vars = Registry.variables pbe in
-  let tape = Compile.compile ~vars f_c in
-  let env = [ (Dft_vars.rs_name, 1.3); (Dft_vars.s_name, 2.1) ] in
-  let args = [| 1.3; 2.1 |] in
-  let dfc = Simplify.simplify (Deriv.diff ~wrt:Dft_vars.rs_name f_c) in
-  let ienv =
-    [
-      (Dft_vars.rs_name, Interval.make 1.0 1.5);
-      (Dft_vars.s_name, Interval.make 2.0 2.2);
-    ]
-  in
-  let box =
-    Box.make
-      [
-        (Dft_vars.rs_name, Interval.make 1.0 1.5);
-        (Dft_vars.s_name, Interval.make 2.0 2.2);
-      ]
-  in
-  let atom = Form.ge f_c in
-  let ec1 = Option.get (Encoder.encode pbe Conditions.Ec1) in
-  let small_solver = { Icp.default_config with fuel = 50 } in
-  let tests =
-    [
-      Test.make ~name:"eval: PBE F_c (tree walk)"
-        (Staged.stage (fun () -> Eval.eval env f_c));
-      Test.make ~name:"eval: PBE F_c (compiled tape)"
-        (Staged.stage (fun () -> Compile.run tape args));
-      Test.make ~name:"eval: PBE dF_c/drs (tree walk)"
-        (Staged.stage (fun () -> Eval.eval env dfc));
-      Test.make ~name:"interval: PBE F_c over box"
-        (Staged.stage (fun () -> Ieval.eval ienv f_c));
-      Test.make ~name:"hc4: revise PBE EC1 atom"
-        (Staged.stage (fun () -> Hc4.revise box atom));
-      Test.make ~name:"icp: 50-expansion budget on EC1"
-        (Staged.stage (fun () ->
-             Icp.solve small_solver ec1.Encoder.domain ec1.Encoder.negated));
-      Test.make ~name:"symbolic: diff PBE F_c"
-        (Staged.stage (fun () -> Deriv.diff ~wrt:Dft_vars.rs_name f_c));
-      Test.make ~name:"lambert: W0(1.0)"
-        (Staged.stage (fun () -> Lambert.w0 1.0));
-    ]
-  in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second bench_quota) ~kde:None
-      ~stabilize:false ()
-  in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  List.iter
-    (fun test ->
-      List.iter
-        (fun elt ->
-          let raw = Benchmark.run cfg [ Instance.monotonic_clock ] elt in
-          let est = Analyze.one ols Instance.monotonic_clock raw in
-          let ns =
-            match Analyze.OLS.estimates est with
-            | Some [ x ] -> x
-            | _ -> Float.nan
-          in
-          let r2 =
-            match Analyze.OLS.r_square est with
-            | Some r -> r
-            | None -> Float.nan
-          in
-          Printf.printf "%-36s %12.1f ns/run  (r2 = %.4f)\n%!"
-            (Test.Elt.name elt) ns r2)
-        (Test.elements test))
-    tests;
-  print_newline ();
-  (* grid-evaluation throughput: the number that makes the PB baseline
-     feasible at the paper's 1e5-sample scale *)
-  let n = 200 in
-  let mesh =
-    Mesh.make
-      [
-        (Dft_vars.rs_name, Mesh.linspace 0.0001 5.0 n);
-        (Dft_vars.s_name, Mesh.linspace 0.0 5.0 n);
-      ]
-  in
-  let t0 = Unix.gettimeofday () in
-  let acc = ref 0.0 in
-  for i = 0 to Mesh.size mesh - 1 do
-    acc := !acc +. Compile.run tape (Mesh.values mesh i)
-  done;
-  let dt = Unix.gettimeofday () -. t0 in
-  Printf.printf
-    "PB grid throughput (pointwise): %d PBE F_c evaluations in %.3fs \
-     (%.2f Mevals/s; checksum %.6f)\n"
-    (n * n) dt
-    (float_of_int (n * n) /. dt /. 1e6)
-    !acc;
-  (* columnwise batch evaluation *)
-  let total = Mesh.size mesh in
-  let cols = Array.init 2 (fun _ -> Array.make total 0.0) in
-  for i = 0 to total - 1 do
-    let v = Mesh.values mesh i in
-    cols.(0).(i) <- v.(0);
-    cols.(1).(i) <- v.(1)
-  done;
-  let out = Array.make total 0.0 in
-  let t0 = Unix.gettimeofday () in
-  Compile.run_batch tape cols out;
-  let dt_b = Unix.gettimeofday () -. t0 in
-  let acc_b = Array.fold_left ( +. ) 0.0 out in
-  Printf.printf
-    "PB grid throughput (batch):     %d PBE F_c evaluations in %.3fs \
-     (%.2f Mevals/s; checksum %.6f, speedup %.1fx)\n"
-    total dt_b
-    (float_of_int total /. dt_b /. 1e6)
-    acc_b (dt /. dt_b)
-
-(* ------------------------------------------------------------------ *)
-(* HC4 contraction: tree walker vs compiled interval tape              *)
-(* ------------------------------------------------------------------ *)
-
-let hc4_bench () =
-  section "HC4: tree-walking revise vs compiled interval tape";
-  let open Bechamel in
-  let open Toolkit in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second bench_quota) ~kde:None
-      ~stabilize:false ()
-  in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let measure test =
-    List.map
-      (fun elt ->
-        let raw = Benchmark.run cfg [ Instance.monotonic_clock ] elt in
-        let est = Analyze.one ols Instance.monotonic_clock raw in
-        let ns =
-          match Analyze.OLS.estimates est with
-          | Some [ x ] -> x
-          | _ -> Float.nan
-        in
-        Printf.printf "%-40s %12.1f ns/run\n%!" (Test.Elt.name elt) ns;
-        ns)
-      (Test.elements test)
-    |> List.hd
-  in
-  let speedup ?pair label tree tape =
-    Printf.printf "%-40s %12.2fx\n\n%!" (label ^ " speedup") (tree /. tape);
-    match pair with
-    | Some p -> record_metric (Printf.sprintf "%s_%s_speedup" p label) (tree /. tape)
-    | None -> ()
-  in
-  List.iter
-    (fun (dfa_name, cond) ->
-      let dfa = Registry.find dfa_name in
-      let problem = Option.get (Encoder.encode dfa cond) in
-      let formula = problem.Encoder.negated in
-      let domain = problem.Encoder.domain in
-      let compiled = Hc4.compile ~vars:(Box.vars domain) formula in
-      let atom = List.hd formula in
-      let prog = Itape.compile ~vars:(Box.vars domain) atom in
-      let pair = dfa_name ^ "_" ^ Conditions.name cond in
-      (* a mid-search box: narrow enough that the atom is undecided, so the
-         backward pass and read-off actually run *)
-      let box = fst (Box.split (fst (Box.split domain))) in
-      Printf.printf "--- %s / %s (%d tape registers) ---\n" dfa_name
-        (Conditions.name cond) (Itape.length prog);
-      let t_revise =
-        measure
-          (Test.make ~name:"revise (tree walk)"
-             (Staged.stage (fun () -> Hc4.revise box atom)))
-      in
-      let v_revise =
-        measure
-          (Test.make ~name:"revise (interval tape)"
-             (Staged.stage (fun () -> Itape.revise prog box)))
-      in
-      speedup ~pair "revise" t_revise v_revise;
-      let t_contract =
-        measure
-          (Test.make ~name:"contract x4 (tree walk)"
-             (Staged.stage (fun () -> Hc4.contract box formula ~rounds:4)))
-      in
-      let v_contract =
-        measure
-          (Test.make ~name:"contract x4 (tape + agenda)"
-             (Staged.stage (fun () ->
-                  Hc4.contract_tape compiled box ~rounds:4)))
-      in
-      speedup ~pair "contract" t_contract v_contract;
-      let solver = { Icp.default_config with fuel = 50; faults = None } in
-      let t_solve =
-        measure
-          (Test.make ~name:"icp 50-expansion (tree walk)"
-             (Staged.stage (fun () -> Icp.solve solver domain formula)))
-      in
-      let v_solve =
-        measure
-          (Test.make
-             ~name:"icp 50-expansion (interval tape)"
-             (Staged.stage (fun () ->
-                  Icp.solve
-                    { solver with Icp.tape = Some compiled }
-                    domain formula)))
-      in
-      speedup ~pair "solve" t_solve v_solve)
-    [
-      ("pbe", Conditions.Ec1);
-      ("pbe", Conditions.Ec7);
-      ("lyp", Conditions.Ec1);
-      ("scan", Conditions.Ec1);
-    ];
-
-  (* -- mean-value contractor: symbolic tree walk vs one adjoint sweep -- *)
-  section "Mean-value contractor: tree-walk Taylor vs adjoint tape";
-  let mvf_speedups = ref [] in
-  List.iter
-    (fun (dfa_name, cond, clamps) ->
-      let dfa = Registry.find dfa_name in
-      let problem = Option.get (Encoder.encode dfa cond) in
-      let formula = problem.Encoder.negated in
-      let domain = problem.Encoder.domain in
-      let vars = Box.vars domain in
-      let compiled = Hc4.compile ~vars formula in
-      let preps = List.map (Taylor.prepare ~vars) formula in
-      let pair = dfa_name ^ "_" ^ Conditions.name cond in
-      (* a mid-search box: atoms undecided, so the linear solve actually
-         runs. Piecewise DFAs (SCAN) get explicit clamps away from the
-         guard seams — on an undecided-guard box both contractors are
-         no-ops and the comparison would only measure how fast each one
-         notices (the tree walk wins that by design: its guards are
-         precollected as tiny standalone expressions). *)
-      let box =
-        match clamps with
-        | [] -> fst (Box.split (fst (Box.split domain)))
-        | _ ->
-            List.fold_left
-              (fun b (v, lo, hi) -> Box.set b v (Interval.make lo hi))
-              domain clamps
-      in
-      let tree_contract b0 =
-        List.fold_left
-          (fun acc prep ->
-            match acc with
-            | Hc4.Infeasible -> acc
-            | Hc4.Contracted b -> Taylor.contract prep b)
-          (Hc4.Contracted b0) preps
-      in
-      Printf.printf "--- %s / %s ---\n" dfa_name (Conditions.name cond);
-      let t_tree =
-        measure
-          (Test.make ~name:"mvf contract (tree walk)"
-             (Staged.stage (fun () -> tree_contract box)))
-      in
-      let t_tape =
-        measure
-          (Test.make ~name:"mvf contract (adjoint tape)"
-             (Staged.stage (fun () -> Hc4.mean_value_tape compiled box)))
-      in
-      mvf_speedups := (t_tree /. t_tape) :: !mvf_speedups;
-      speedup ~pair "mvf" t_tree t_tape)
-    [
-      ("pbe", Conditions.Ec1, []);
-      ("pbe", Conditions.Ec7, []);
-      ("lyp", Conditions.Ec1, []);
-      ("scan", Conditions.Ec1,
-       [
-         (Dft_vars.rs_name, 1.0, 1.3);
-         (Dft_vars.s_name, 1.0, 1.3);
-         (Dft_vars.alpha_name, 1.2, 1.5);
-       ]);
-    ];
-  (let sp = !mvf_speedups in
-   let geomean =
-     exp (List.fold_left (fun a x -> a +. log x) 0.0 sp
-          /. float_of_int (List.length sp))
-   in
-   Printf.printf "mvf geometric-mean speedup: %.2fx\n" geomean;
-   record_metric "mvf_geomean_speedup" geomean);
-
-  (* -- JIT: the interpreted tape pipeline vs the batched native kernel -- *)
-  section "JIT: interpreted tape vs batched native C kernel";
-  (if not (Jit.available ()) then begin
-     Printf.printf "no C compiler found (XCV_CC/cc/gcc) -- skipping\n\n";
-     record_metric "jit_available" 0.0
-   end
-   else begin
-     record_metric "jit_available" 1.0;
-     let jit_speedups = ref [] in
-     let cache = Filename.temp_file "xcvjit-bench" "" in
-     Sys.remove cache;
-     Unix.mkdir cache 0o700;
-     List.iter
-       (fun (dfa_name, cond) ->
-         let dfa = Registry.find dfa_name in
-         let problem = Option.get (Encoder.encode dfa cond) in
-         let formula = problem.Encoder.negated in
-         let domain = problem.Encoder.domain in
-         let compiled = Hc4.compile ~vars:(Box.vars domain) formula in
-         let pair = dfa_name ^ "_" ^ Conditions.name cond in
-         let box = fst (Box.split (fst (Box.split domain))) in
-         Printf.printf "--- %s / %s ---\n" dfa_name (Conditions.name cond);
-         let t0 = Unix.gettimeofday () in
-         match Jit.plan ~cache_dir:cache ~mvf:true ~rounds:4 compiled with
-         | Error e ->
-             Printf.printf "jit plan failed (%s) -- interpreted fallback\n\n" e
-         | Ok plan ->
-             let compile_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-             Printf.printf "%-40s %12.1f ms\n%!" "compile + dlopen" compile_ms;
-             record_metric (pair ^ "_jit_compile_ms") compile_ms;
-             (* the interpreted side of the comparison is the full per-call
-                pipeline the default solver config runs on a box: HC4
-                contraction, the mean-value-form stage, and the status
-                read-off *)
-             let interp b =
-               let r =
-                 match Hc4.contract_tape compiled b ~rounds:4 with
-                 | Hc4.Infeasible -> Hc4.Infeasible
-                 | Hc4.Contracted b' -> Hc4.mean_value_tape compiled b'
-               in
-               match r with
-               | Hc4.Infeasible -> 0
-               | Hc4.Contracted b' -> List.length (Hc4.statuses_on compiled b')
-             in
-             let t_tape =
-               measure
-                 (Test.make ~name:"contract+statuses (tape)"
-                    (Staged.stage (fun () -> interp box)))
-             in
-             let single = [| box |] in
-             let t_jit =
-               measure
-                 (Test.make ~name:"contract+statuses (jit, batch 1)"
-                    (Staged.stage (fun () -> Jit.contract_batch plan single)))
-             in
-             speedup ~pair "jit" t_tape t_jit;
-             (* batch-size sweep over a refined frontier — the box mix a
-                campaign actually feeds the kernel (narrow boxes, atoms
-                undecided), and the granularity the solver dispatches at.
-                The headline geomean is taken on the deepest sweep point. *)
-             let rec refine boxes n =
-               if List.length boxes >= n then boxes
-               else refine (List.concat_map Box.split_all boxes) n
-             in
-             let deepest = 64 in
-             List.iter
-               (fun n ->
-                 let boxes =
-                   Array.of_list
-                     (List.filteri (fun i _ -> i < n) (refine [ domain ] n))
-                 in
-                 let t_batch_tape =
-                   measure
-                     (Test.make
-                        ~name:(Printf.sprintf "tape over %d-box frontier" n)
-                        (Staged.stage (fun () -> Array.map interp boxes)))
-                 in
-                 let t_batch =
-                   measure
-                     (Test.make
-                        ~name:(Printf.sprintf "jit batch %d" n)
-                        (Staged.stage (fun () -> Jit.contract_batch plan boxes)))
-                 in
-                 record_metric
-                   (Printf.sprintf "%s_jit_batch%d_ns_per_box" pair n)
-                   (t_batch /. float_of_int n);
-                 let label = Printf.sprintf "jit_batch%d" n in
-                 speedup ~pair label t_batch_tape t_batch;
-                 if n = deepest then
-                   jit_speedups := (t_batch_tape /. t_batch) :: !jit_speedups)
-               [ 4; 16; deepest ];
-             Printf.printf "\n%!")
-       [
-         ("pbe", Conditions.Ec1);
-         ("pbe", Conditions.Ec7);
-         ("lyp", Conditions.Ec1);
-         ("scan", Conditions.Ec1);
-       ];
-     let sp = !jit_speedups in
-     if sp <> [] then begin
-       let geomean =
-         exp
-           (List.fold_left (fun a x -> a +. log x) 0.0 sp
-           /. float_of_int (List.length sp))
-       in
-       Printf.printf "jit geometric-mean speedup over the tape: %.2fx\n" geomean;
-       record_metric "jit_geomean_speedup" geomean
-     end
-   end);
-
-  (* -- split heuristic x contractor grid: fuel spent to a verdict -- *)
-  section "Split heuristic: widest vs smear (expansions to verdict)";
-  Printf.printf "fuel budget %d per solve (XCV_BENCH_ICP_FUEL)\n\n"
-    bench_icp_fuel;
-  (* The workloads are Unsat proofs: sub-boxes on which the condition holds,
-     clamped away from the rs -> 0 singular corner and the violation /
-     delta-sat bands. Splitting order is irrelevant for SAT instances (the
-     midpoint sampler finds violation models in a handful of expansions
-     either way); it is the price of an Unsat proof that the smear rule is
-     meant to cut. *)
-  let tot_exp = ref 0 and tot_prunes = ref 0 and tot_revise = ref 0 in
-  List.iter
-    (fun (dfa_name, cond, clamps) ->
-      let dfa = Registry.find dfa_name in
-      let problem = Option.get (Encoder.encode dfa cond) in
-      let formula = problem.Encoder.negated in
-      let domain = problem.Encoder.domain in
-      let vars = Box.vars domain in
-      let compiled = Hc4.compile ~vars formula in
-      let preps = List.map (Taylor.prepare ~vars) formula in
-      let box =
-        List.fold_left
-          (fun b (v, lo, hi) -> Box.set b v (Interval.make lo hi))
-          domain clamps
-      in
-      let cname = Conditions.name cond in
-      let pair = dfa_name ^ "_" ^ cname in
-      Printf.printf "--- %s / %s on " dfa_name cname;
-      List.iter (fun (v, lo, hi) -> Printf.printf "%s:[%g,%g] " v lo hi) clamps;
-      Printf.printf "---\n";
-      let results = ref [] in
-      List.iter
-        (fun (mode_label, contractors) ->
-          List.iter
-            (fun (split_label, split) ->
-              let cfg =
-                {
-                  Icp.default_config with
-                  fuel = bench_icp_fuel;
-                  faults = None;
-                  tape = Some compiled;
-                  split_heuristic = split;
-                }
-              in
-              let t0 = Unix.gettimeofday () in
-              let verdict, stats = Icp.solve ~contractors cfg box formula in
-              let dt = Unix.gettimeofday () -. t0 in
-              results := ((mode_label, split_label), stats.Icp.expansions)
-                         :: !results;
-              tot_exp := !tot_exp + stats.Icp.expansions;
-              tot_prunes := !tot_prunes + stats.Icp.prunes;
-              tot_revise := !tot_revise + stats.Icp.revise_calls;
-              record_metric
-                (Printf.sprintf "%s_%s_%s_expansions" pair mode_label
-                   split_label)
-                (float_of_int stats.Icp.expansions);
-              let verdict_s = Format.asprintf "%a" Icp.pp_verdict verdict in
-              Printf.printf
-                "%-12s %-7s %-24s %6d expansions  %6d prunes  %.3fs\n%!"
-                mode_label split_label verdict_s stats.Icp.expansions
-                stats.Icp.prunes dt)
-            [ ("widest", `Widest); ("smear", `Smear) ])
-        [
-          ("taylor-off", []);
-          ("taylor-tree", List.map Taylor.contractor preps);
-          ("taylor-tape", [ Hc4.mean_value_tape compiled ]);
-        ];
-      (match
-         ( List.assoc_opt ("taylor-tape", "widest") !results,
-           List.assoc_opt ("taylor-tape", "smear") !results )
-       with
-      | Some w, Some s when w > 0 ->
-          let red = 1.0 -. (float_of_int s /. float_of_int w) in
-          Printf.printf
-            "smear expansion reduction (taylor-tape): %.1f%%\n\n" (100. *. red);
-          record_metric (Printf.sprintf "%s_smear_reduction" pair) red
-      | _ -> ()))
-    [
-      ("pbe", Conditions.Ec1,
-       [ (Dft_vars.rs_name, 0.5, 5.0); (Dft_vars.s_name, 0.0, 2.0) ]);
-      ("pbe", Conditions.Ec2,
-       [ (Dft_vars.rs_name, 0.5, 5.0); (Dft_vars.s_name, 0.0, 2.0) ]);
-      ("lyp", Conditions.Ec1,
-       [ (Dft_vars.rs_name, 0.5, 5.0); (Dft_vars.s_name, 0.0, 1.5) ]);
-      ("lyp", Conditions.Ec2,
-       [ (Dft_vars.rs_name, 0.5, 5.0); (Dft_vars.s_name, 0.0, 1.4) ]);
-      ("pbe", Conditions.Ec7,
-       [ (Dft_vars.rs_name, 0.5, 5.0); (Dft_vars.s_name, 0.0, 1.0) ]);
-    ];
-  record_metric "expansions" (float_of_int !tot_exp);
-  record_metric "prunes" (float_of_int !tot_prunes);
-  record_metric "revise_calls" (float_of_int !tot_revise)
-
-(* ------------------------------------------------------------------ *)
-
-(* The verification service, measured at the engine layer (no socket, so
-   numbers isolate admission + cache + solve): a fixed query mix submitted
-   three times over — the second and third waves should be pure cache
-   hits. Reports throughput, per-query latency percentiles and the cache
-   hit rate read back from the service counters. *)
-let bench_service_fuel = getenv_int "XCV_BENCH_SERVICE_FUEL" 60
-
-let service_bench () =
-  section "verification service: engine throughput and verdict cache";
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "xcv-bench-service-%d" (Unix.getpid ()))
-  in
-  let rec rm_rf path =
-    if Sys.file_exists path then
-      if Sys.is_directory path then begin
-        Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-        Unix.rmdir path
-      end
-      else Sys.remove path
-  in
-  rm_rf dir;
-  let verify =
-    {
-      campaign_config with
-      Verify.threshold = 0.25;
-      solver = { campaign_config.Verify.solver with Icp.fuel = bench_service_fuel };
-      deadline_seconds = None;
-    }
-  in
-  let engine_cfg =
-    { Engine.default_config with Engine.cache_dir = dir; max_inflight = 64; verify }
-  in
-  let t = Engine.create engine_cfg in
-  let client = Engine.new_client t in
-  let mix =
-    [ ("pbe", "ec1"); ("pbe", "ec2"); ("lyp", "ec1"); ("vwn_rpa", "ec6") ]
-  in
-  let latencies = ref [] in
-  let failures = ref 0 in
-  let t0 = Unix.gettimeofday () in
-  let id = ref 0 in
-  for _wave = 1 to 3 do
-    List.iter
-      (fun (dfa, condition) ->
-        incr id;
-        let q0 = Unix.gettimeofday () in
-        (match
-           Engine.submit t client
-             (Protocol.Verify
-                { id = !id; dfa; condition; opts = Protocol.no_opts })
-         with
-        | None ->
-            let ok = ref false in
-            Engine.drain t () ~on_response:(fun _ resp ->
-                match resp with
-                | Protocol.Result _ -> ok := true
-                | _ -> ());
-            if not !ok then incr failures
-        | Some _ -> incr failures);
-        latencies := (Unix.gettimeofday () -. q0) :: !latencies)
-      mix
-  done;
-  let wall = Unix.gettimeofday () -. t0 in
-  let sorted = List.sort compare !latencies |> Array.of_list in
-  let n = Array.length sorted in
-  let pct p = sorted.(min (n - 1) (int_of_float (p *. float_of_int (n - 1)))) in
-  let hits = Obs.Metrics.read (Obs.Metrics.counter "service.cache.hits") in
-  let misses = Obs.Metrics.read (Obs.Metrics.counter "service.cache.misses") in
-  let hit_rate =
-    if hits + misses = 0 then 0.0
-    else float_of_int hits /. float_of_int (hits + misses)
-  in
-  Printf.printf "queries %d  failures %d  wall %.2fs  (%.1f q/s)\n" n !failures
-    wall
-    (float_of_int n /. wall);
-  Printf.printf "latency p50 %.1f ms  p99 %.1f ms\n" (1000. *. pct 0.5)
-    (1000. *. pct 0.99);
-  Printf.printf "cache: %d hits / %d misses (hit rate %.2f)\n%!" hits misses
-    hit_rate;
-  record_metric "queries" (float_of_int n);
-  record_metric "failures" (float_of_int !failures);
-  record_metric "throughput_qps" (float_of_int n /. wall);
-  record_metric "latency_p50_ms" (1000. *. pct 0.5);
-  record_metric "latency_p99_ms" (1000. *. pct 0.99);
-  record_metric "cache_hit_rate" hit_rate;
-  rm_rf dir
-
-(* ------------------------------------------------------------------ *)
-(* Certified transcendental kernels                                    *)
-(* ------------------------------------------------------------------ *)
-
-let transcend_fuel = getenv_int "XCV_BENCH_TRANSCEND_FUEL" 400
-
-(* Enclosure-width and expansions-per-solve deltas between the legacy
-   transcendental escapes (2^20 trig collapse, Lambert-W +inf
-   certification escape, blanket 2-ulp outward rounding) and the
-   certified dd kernels that replaced them. Part one measures raw
-   enclosure widths at the escape points; part two replays identical
-   ICP solves under [`Legacy] and [`Certified] dispatch and compares
-   the fuel spent. *)
-let transcend_bench () =
-  section "Certified transcendental kernels: enclosure widths";
-  let with_mode mode f =
-    let prev = Transcend.current_mode () in
-    Transcend.set_mode mode;
-    Fun.protect ~finally:(fun () -> Transcend.set_mode prev) f
-  in
-  let ulps_of i x = Interval.width i /. (Float.succ x -. x) in
-  let width_row label legacy certified =
-    Printf.printf "%-26s legacy %-14g certified %-14g ratio %g\n" label
-      legacy certified
-      (if certified > 0.0 then legacy /. certified else Float.infinity);
-    record_metric (label ^ "_legacy") legacy;
-    record_metric (label ^ "_certified") certified;
-    if certified > 0.0 && Float.is_finite legacy then
-      record_metric (label ^ "_ratio") (legacy /. certified)
-  in
-  (* sin beyond the retired 2^20 cutoff: legacy collapses to [-1, 1]. *)
-  let big = Float.ldexp 1.0 21 in
-  let sin_arg = Interval.make big (big +. 0.125) in
-  width_row "width.sin_beyond_cutoff"
-    (Interval.width (Transcend.Legacy.sin sin_arg))
-    (Interval.width (Transcend.sin sin_arg));
-  let big_c = 3.0 *. Float.ldexp 1.0 20 in
-  let cos_arg = Interval.make big_c (big_c +. 0.125) in
-  width_row "width.cos_beyond_cutoff"
-    (Interval.width (Transcend.Legacy.cos cos_arg))
-    (Interval.width (Transcend.cos cos_arg));
-  (* Lambert W hugging the -1/e branch point: a no-regression guard.
-     The repair of the legacy +inf escape only fires on platforms where
-     the float kernel NaNs at the branch; everywhere the certified
-     enclosure must be no wider than the legacy one (ratio >= 1). *)
-  let branch = -.exp (-1.0) in
-  let w_arg = Interval.make branch (branch +. 1e-10) in
-  width_row "width.w_branch_point"
-    (Interval.width (Transcend.Legacy.lambert_w w_arg))
-    (Interval.width (Transcend.lambert_w w_arg));
-  (* Point enclosures, in ulps of the true result: the legacy blanket
-     outward rounding is 4 ulps; the dd kernels carry derived bounds. *)
-  let e1 = exp 1.0 in
-  width_row "width.exp_point_ulps"
-    (ulps_of (Transcend.Legacy.exp (Interval.point 1.0)) e1)
-    (ulps_of (Transcend.exp (Interval.point 1.0)) e1);
-  let l2 = log 2.0 in
-  width_row "width.log_point_ulps"
-    (ulps_of (Transcend.Legacy.log (Interval.point 2.0)) l2)
-    (ulps_of (Transcend.log (Interval.point 2.0)) l2);
-  (* Legacy pow rounds the exponent to a float and is 1 ulp narrower
-     here, but it encloses x^fl(2/3), not x^(2/3); the certified row is
-     the sound one and stays ulp-scale. *)
-  let cbrt4 = Float.cbrt 4.0 in
-  width_row "width.pow_2_3_point_ulps"
-    (ulps_of
-       (Transcend.Legacy.pow_rat (Interval.point 2.0) (Rat.make 2 3))
-       cbrt4)
-    (ulps_of (Transcend.pow_rat (Interval.point 2.0) (Rat.make 2 3)) cbrt4);
-  print_newline ();
-
-  section "Expansions per solve: legacy escapes vs certified kernels";
-  let cfg = { Icp.default_config with fuel = transcend_fuel; delta = 1e-9 } in
-  let solve_row ?(cfg = cfg) label domain formula =
-    let run mode = with_mode mode (fun () -> Icp.solve cfg domain formula) in
-    let v_l, s_l = run `Legacy in
-    let v_c, s_c = run `Certified in
-    Format.printf
-      "%-20s legacy %a (%d expansions)  certified %a (%d expansions)@." label
-      Icp.pp_verdict v_l s_l.Icp.expansions Icp.pp_verdict v_c
-      s_c.Icp.expansions;
-    record_metric
-      (label ^ "_expansions_legacy")
-      (float_of_int s_l.Icp.expansions);
-    record_metric
-      (label ^ "_expansions_certified")
-      (float_of_int s_c.Icp.expansions)
-  in
-  (* Paper Table I rows: identical encodings, mode flipped around the
-     solve. exp/log kernels only engage on narrow boxes, so these rows
-     mostly certify no regression. *)
-  List.iter
-    (fun (dfa, cond, label) ->
-      let problem = Option.get (Encoder.encode (Registry.find dfa) cond) in
-      solve_row label problem.Encoder.domain problem.Encoder.negated)
-    [
-      ("pbe", Conditions.Ec1, "pbe_ec1");
-      ("lyp", Conditions.Ec1, "lyp_ec1");
-      ("scan", Conditions.Ec1, "scan_ec1");
-    ];
-  (* Escape rows: pointwise-trivial conditions the legacy escapes can
-     never refute, so the legacy solver burns fuel splitting an
-     enclosure that no split can narrow. *)
-  let x = Expr.var "x" in
-  let refute atom = [ Form.negate_atom atom ] in
-  solve_row "sin_escape"
-    (Box.make [ ("x", sin_arg) ])
-    (refute (Form.le (Expr.sub (Expr.sin x) (Expr.const 0.9))));
-  solve_row "cos_escape"
-    (Box.make [ ("x", cos_arg) ])
-    (refute (Form.le (Expr.sub (Expr.cos x) (Expr.const 0.9))));
-  (* No-regression row: the W box hugs the branch point (delta finer
-     than the box so the solver would be forced to split if the
-     enclosure escaped); certified must not spend more fuel. *)
-  solve_row ~cfg:{ cfg with delta = 1e-13 } "w_branch"
-    (Box.make [ ("x", w_arg) ])
-    (refute (Form.le (Expr.lambert_w x)))
-
 let () =
   let targets =
     [
       ("table1", table1); ("table2", table2); ("fig1", fig1); ("fig2", fig2);
       ("boundaries", boundaries); ("ablation", ablation);
       ("taylor", ablation_taylor); ("extensions", extensions);
-      ("scheduler", scheduler); ("micro", micro); ("hc4", hc4_bench);
-      ("service", service_bench); ("transcend", transcend_bench);
     ]
   in
-  let args = Array.to_list Sys.argv |> List.tl in
-  json_enabled := List.mem "--json" args;
-  let names = List.filter (fun a -> not (String.equal a "--json")) args in
-  (* Each target runs against a fresh metrics instance so its BENCH json
-     carries only its own counters; the snapshot is folded flat under an
-     "obs." prefix (timers in seconds, histograms as observation counts). *)
-  let run_target (name, f) =
-    json_metrics := [];
-    let prev = Obs.Metrics.install (Obs.Metrics.fresh ()) in
-    let t0 = Unix.gettimeofday () in
-    f ();
-    let wall = Unix.gettimeofday () -. t0 in
-    if !json_enabled then begin
-      let s = Obs.Metrics.snapshot () in
-      List.iter
-        (fun (k, v) -> record_metric ("obs." ^ k) (float_of_int v))
-        (s.Obs.Metrics.counters @ s.Obs.Metrics.wall_counters);
-      List.iter
-        (fun (k, buckets) ->
-          let count = List.fold_left (fun a (_, c) -> a + c) 0 buckets in
-          record_metric ("obs." ^ k ^ ".count") (float_of_int count))
-        s.Obs.Metrics.histograms;
-      List.iter
-        (fun (k, v) -> record_metric ("obs." ^ k ^ ".max") (float_of_int v))
-        s.Obs.Metrics.gauges;
-      List.iter
-        (fun (k, ns) ->
-          record_metric ("obs." ^ k ^ ".s") (float_of_int ns /. 1e9))
-        s.Obs.Metrics.timers;
-      write_json name wall
-    end;
-    ignore (Obs.Metrics.install prev)
-  in
-  match names with
-  | [] -> List.iter run_target targets
+  match List.tl (Array.to_list Sys.argv) with
+  | [] -> List.iter (fun (_, f) -> f ()) targets
   | names ->
       List.iter
         (fun name ->
           match List.assoc_opt name targets with
-          | Some f -> run_target (name, f)
+          | Some f -> f ()
           | None ->
               Printf.eprintf "unknown bench target %S; known: %s\n" name
                 (String.concat " " (List.map fst targets));

@@ -282,6 +282,17 @@ let warn_if_oversubscribed workers =
        the run down\n%!"
       workers cores
 
+(* The kernel cache only serves --jit runs; without --jit it would be
+   silently ignored. *)
+let warn_if_jit_cache_unused ~jit jit_cache =
+  match jit_cache with
+  | Some dir when not jit ->
+      Printf.eprintf
+        "warning: --jit-cache %s has no effect without --jit; no kernel is \
+         compiled or cached\n%!"
+        dir
+  | _ -> ()
+
 (* [preset] supplies every setting whose flag was not given. *)
 let config_of ?(preset = Verify.default_config) ?(use_taylor = true)
     ?(split = `Widest) ?(workers = 1) ?retries ?(fuel_growth = 2) ?fault_rate
@@ -294,6 +305,7 @@ let config_of ?(preset = Verify.default_config) ?(use_taylor = true)
   in
   warn_if_jit_unavailable jit;
   warn_if_oversubscribed workers;
+  warn_if_jit_cache_unused ~jit jit_cache;
   let solver = preset.Verify.solver in
   {
     preset with
@@ -660,10 +672,11 @@ let campaign_cmd =
               @ (match metrics with
                 | Some m when m <> "-" -> [ "--metrics"; m ]
                 | _ -> [])
-              @ (if jit then [ "--jit" ] else [])
-              @ (match jit_cache with
-                | Some d -> [ "--jit-cache"; d ]
-                | None -> [])
+              (* --jit-cache alone is inert and already warned about *)
+              @ (match (jit, jit_cache) with
+                | true, Some d -> [ "--jit"; "--jit-cache"; d ]
+                | true, None -> [ "--jit" ]
+                | false, _ -> [])
               @ (if progress then [ "--progress" ] else [])
               @ (if resume then [ "--resume"; base ] else [])
             in

@@ -12,19 +12,12 @@
     natural-domain semantics of {!Interval}: inputs outside the real domain
     contribute no values. *)
 
-(** {1 Dispatch mode} *)
-
-(** [`Certified] (the default) uses the dd kernels where they help;
-    [`Legacy] restores the pre-kernel behavior byte-for-byte. The bench
-    harness flips this to measure enclosure-width and expansion deltas. *)
-val set_mode : [ `Certified | `Legacy ] -> unit
-
-val current_mode : unit -> [ `Certified | `Legacy ]
-
-(** The pre-certified-kernel implementations, kept verbatim as the "old"
-    side of the differential oracle and the bench baseline (lossy escapes
-    included: the 2^20 trig cutoff lives on here as
-    [Legacy.trig_arg_cutoff]). *)
+(** The libm half of every enclosure: endpoint libm calls widened by two
+    ulps. {!exp}, {!log}, {!sin}, {!cos} and {!lambert_w} meet these with
+    their certified side, and the meet binds: near exp's underflow the libm
+    bound is the tighter one. Lossy on their own (the 2^20 trig cutoff
+    lives on here as [Legacy.trig_arg_cutoff]); the differential oracle
+    checks the public kernels against them. *)
 module Legacy : sig
   val exp : Interval.t -> Interval.t
   val log : Interval.t -> Interval.t
@@ -32,9 +25,6 @@ module Legacy : sig
   val cos : Interval.t -> Interval.t
   val trig_arg_cutoff : float
   val lambert_w : Interval.t -> Interval.t
-  val atanh : Interval.t -> Interval.t
-  val w_inverse : Interval.t -> Interval.t
-  val pow_rat : Interval.t -> Rat.t -> Interval.t
 end
 
 (** {1 Enclosures} *)

@@ -197,20 +197,20 @@ let prop_jit_identity =
             batched;
           true)
 
-(* The certified/legacy switch is baked into the emitted source; both
-   modes must keep identity (their kernels differ a lot). *)
-let test_identity_legacy_mode () =
+(* Narrow boxes where the libm side of the exp and pow_rat meets is the
+   tighter one (exp near -700, bases near exp(-700) and 1e-300), so both
+   the meet and the dd kernels decide the result. The tanh and Lambert W
+   atoms make the backward sweep run the atanh and w_inverse kernels. *)
+let test_identity_near_underflow () =
   if Jit.available () then begin
-    Transcend.set_mode `Legacy;
-    Fun.protect ~finally:(fun () -> Transcend.set_mode `Certified) @@ fun () ->
+    let x = Expr.var "x" and y = Expr.var "y" in
     let formula =
       [
+        Form.atom (Expr.sub (Expr.exp x) (Expr.powr y (Rat.make 3 2))) Form.Ge0;
+        Form.atom (Expr.tanh (Expr.add x (Expr.const 700.0))) Form.Le0;
         Form.atom
-          (Expr.sub
-             (Expr.exp (Expr.mul (Expr.const 0.5) (Expr.var "x")))
-             (Expr.powr (Expr.abs (Expr.var "y")) (Rat.make 3 2)))
-          Form.Le0;
-        Form.atom (Expr.lambert_w (Expr.var "x")) Form.Ge0;
+          (Expr.lambert_w (Expr.mul (Expr.exp x) (Expr.const 1e300)))
+          Form.Ge0;
       ]
     in
     let compiled = Hc4.compile ~vars:[ "x"; "y" ] formula in
@@ -219,14 +219,23 @@ let test_identity_legacy_mode () =
     with
     | Error e -> Alcotest.failf "plan failed: %s" e
     | Ok plan ->
-        let box =
-          Box.make
-            [ ("x", Interval.make (-0.25) 2.0); ("y", Interval.make 0.0 1.5) ]
-        in
-        ignore
-          (check_outcome "legacy mode"
-             (Jit.contract_batch plan [| box |]).(0)
-             (interpreted ~mvf:true ~rounds:3 compiled box))
+        let rec up v n = if n = 0 then v else up (Float.succ v) (n - 1) in
+        let rec down v n = if n = 0 then v else down (Float.pred v) (n - 1) in
+        let near v n = Interval.make (down v n) (up v n) in
+        List.iteri
+          (fun k (ix, iy) ->
+            let box = Box.make [ ("x", ix); ("y", iy) ] in
+            ignore
+              (check_outcome
+                 (Printf.sprintf "box %d" k)
+                 (Jit.contract_batch plan [| box |]).(0)
+                 (interpreted ~mvf:true ~rounds:3 compiled box)))
+          [
+            (Interval.point (-700.0), Interval.point (Stdlib.exp (-700.0)));
+            (near (-700.0) 4, near (Stdlib.exp (-700.0)) 4);
+            (near (-680.0) 8, near 1e-300 8);
+            (Interval.make (-680.0) (up (-680.0) 16), Interval.point 1e-300);
+          ]
   end
 
 (* ------------------------------------------------------------------ *)
@@ -387,7 +396,8 @@ let test_paint_log_identity () =
 let suite =
   [
     prop_jit_identity;
-    case "legacy-mode identity" test_identity_legacy_mode;
+    case "identity on narrow boxes near exp underflow"
+      test_identity_near_underflow;
     case "degrades to Error on a broken compiler" test_degrades_on_broken_cc;
     case "degrades to Error on a missing compiler" test_degrades_on_missing_cc;
     case "compile cache serves the second plan" test_cache_hit;

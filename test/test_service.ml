@@ -931,6 +931,30 @@ let test_cli_warns_oversubscribed () =
         (warnings (cores + 1));
       Alcotest.(check int) "no warning at the core count" 0 (warnings cores)
 
+(* --jit-cache without --jit warns exactly once on stderr, also when a
+   --shards supervisor spawns shard processes; with --jit the cache is
+   used and nothing is said about it. Only the workers=4 pass runs it. *)
+let test_cli_warns_unused_jit_cache () =
+  match Sys.getenv_opt "XCV_CLI" with
+  | None -> ()
+  | Some _ when test_workers = 1 -> ()
+  | Some cli ->
+      let dir = temp_dir () in
+      let cache = Filename.concat dir "jc" in
+      let warnings args =
+        let code, out = run_cli cli (args @ [ "--jit-cache"; cache ]) in
+        Alcotest.(check int) "CLI exits 0" 0 code;
+        count_sub out "warning: --jit-cache"
+      in
+      let verify = [ "verify"; "-d"; "pz81"; "-c"; "ec1" ] in
+      Alcotest.(check int) "one warning without --jit" 1 (warnings verify);
+      Alcotest.(check int) "no warning with --jit" 0
+        (warnings (verify @ [ "--jit" ]));
+      Alcotest.(check int) "one warning from a sharded campaign" 1
+        (warnings
+           [ "campaign"; "--fuel"; "5"; "-t"; "5"; "--shards"; "2";
+             "--checkpoint"; Filename.concat dir "ck" ])
+
 (* --quick supplies defaults, explicit flags override them. A resume file
    with a foreign config hash makes the CLI stop before solving and name
    the config hash it resolved from its flags. *)
@@ -1077,4 +1101,6 @@ let suite =
     case "CLI warns once on -j past the core count"
       test_cli_warns_oversubscribed;
     case "CLI --quick yields to explicit flags" test_cli_quick_yields_to_flags;
+    case "CLI warns once on --jit-cache without --jit"
+      test_cli_warns_unused_jit_cache;
   ]
