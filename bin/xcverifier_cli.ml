@@ -293,19 +293,22 @@ let warn_if_jit_cache_unused ~jit jit_cache =
         dir
   | _ -> ()
 
-(* [preset] supplies every setting whose flag was not given. *)
+(* [preset] supplies every setting whose flag was not given. [warn]
+   (default true) prints the warnings about the settings on stderr. *)
 let config_of ?(preset = Verify.default_config) ?(use_taylor = true)
     ?(split = `Widest) ?(workers = 1) ?retries ?(fuel_growth = 2) ?fault_rate
     ?(fault_seed = Fault.default_seed) ?(jit = false) ?jit_cache ?fuel
-    ?threshold ?delta ?deadline () =
+    ?threshold ?delta ?deadline ?(warn = true) () =
   let faults =
     match fault_rate with
     | Some rate -> Some (Fault.make ~seed:fault_seed ~rate ())
     | None -> Fault.of_env ()
   in
-  warn_if_jit_unavailable jit;
-  warn_if_oversubscribed workers;
-  warn_if_jit_cache_unused ~jit jit_cache;
+  if warn then begin
+    warn_if_jit_unavailable jit;
+    warn_if_oversubscribed workers;
+    warn_if_jit_cache_unused ~jit jit_cache
+  end;
   let solver = preset.Verify.solver in
   {
     preset with
@@ -610,12 +613,6 @@ let campaign_cmd =
   let run quick fuel threshold delta deadline split workers save checkpoint
       resume metrics progress retries fuel_growth fault_rate fault_seed shard
       shards merge jit jit_cache =
-    let config =
-      config_of
-        ~preset:(if quick then Verify.quick_config else Verify.default_config)
-        ~split ~workers ?retries ~fuel_growth ?fault_rate ~fault_seed ~jit
-        ?jit_cache ?fuel ?threshold ?delta ?deadline ()
-    in
     (match
        List.filter
          (fun set -> set)
@@ -672,11 +669,8 @@ let campaign_cmd =
               @ (match metrics with
                 | Some m when m <> "-" -> [ "--metrics"; m ]
                 | _ -> [])
-              (* --jit-cache alone is inert and already warned about *)
-              @ (match (jit, jit_cache) with
-                | true, Some d -> [ "--jit"; "--jit-cache"; d ]
-                | true, None -> [ "--jit" ]
-                | false, _ -> [])
+              @ (if jit then [ "--jit" ] else [])
+              @ opt_flag "--jit-cache" Fun.id jit_cache
               @ (if progress then [ "--progress" ] else [])
               @ (if resume then [ "--resume"; base ] else [])
             in
@@ -720,6 +714,19 @@ let campaign_cmd =
              distributed one. A shard's checkpoint, --resume and --metrics
              paths carry the .shard<I> suffix. *)
           let i, n = Option.value shard ~default:(0, 1) in
+          (* The settings' warnings print once per campaign: a sharded
+             campaign's shard 0 speaks for all shards on its first start,
+             other shards and restarts from a checkpoint stay quiet, and a
+             --shards supervisor (which solves nothing) says nothing. *)
+          let config =
+            config_of
+              ~preset:
+                (if quick then Verify.quick_config else Verify.default_config)
+              ~split ~workers ?retries ~fuel_growth ?fault_rate ~fault_seed
+              ~jit ?jit_cache ?fuel ?threshold ?delta ?deadline
+              ~warn:(shard = None || (i = 0 && resume = None))
+              ()
+          in
           let checkpoint, resume, metrics =
             match shard with
             | None -> (checkpoint, resume, metrics)

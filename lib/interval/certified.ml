@@ -14,59 +14,85 @@
    Every bound below is derived in a comment next to the constant that
    carries it and re-checked by the differential oracle in
    test/test_transcend.ml. The kernels rely only on IEEE-754 double
-   arithmetic with correctly rounded + - * / and fma (the same trust base as
-   Interval's directed rounding via pred/succ); libm enters only inside a
-   certified argument window (trig endpoint values, already covered by the
-   repo-wide faithful-rounding assumption stated in transcend.mli). *)
+   arithmetic with correctly rounded + - * / and fma, plus Interval's
+   outward rounding, which steps the bit pattern of a double to its
+   neighbour and so needs nothing beyond the IEEE-754 encoding; libm enters
+   only inside a certified argument window (trig endpoint values, already
+   covered by the repo-wide faithful-rounding assumption stated in
+   transcend.mli). The dd arithmetic writes into a flat mutable record
+   instead of returning tuples, so it allocates nothing. *)
 
 (* ------------------------------------------------------------------ *)
 (* Error-free transforms and double-double arithmetic                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Knuth two_sum: s + e = a + b exactly. *)
-let two_sum a b =
+(* A double-double value h + l, or the (value, error) pair of an
+   error-free transform, held in a flat record of two unboxed floats. Each
+   helper below writes its result into a destination [w] and takes its
+   operands as floats, which are evaluated before the helper runs, so [w]
+   may also be where an operand was read from. The helpers are inlined, so
+   a kernel allocates no intermediate value. *)
+type dd = { mutable h : float; mutable l : float }
+
+(* Knuth two_sum: w.h + w.l = a + b exactly. *)
+let[@inline] two_sum w a b =
   let s = a +. b in
   let b' = s -. a in
-  let e = (a -. (s -. b')) +. (b -. b') in
-  (s, e)
+  w.h <- s;
+  w.l <- (a -. (s -. b')) +. (b -. b')
 
 (* Fast path valid when |a| >= |b|. *)
-let quick_two_sum a b =
+let[@inline] quick_two_sum w a b =
   let s = a +. b in
-  (s, b -. (s -. a))
+  w.h <- s;
+  w.l <- b -. (s -. a)
 
-(* p + e = a * b exactly (glibc fma is correctly rounded). *)
-let two_prod a b =
+(* w.h + w.l = a * b exactly (glibc fma is correctly rounded). *)
+let[@inline] two_prod w a b =
   let p = a *. b in
-  (p, Float.fma a b (-.p))
+  w.h <- p;
+  w.l <- Float.fma a b (-.p)
 
 (* dd addition (the accurate variant): relative error <= 3 * 2^-106
    (Joldes-Muller-Popescu). *)
-let dd_add (xh, xl) (yh, yl) =
-  let sh, se = two_sum xh yh in
-  let th, te = two_sum xl yl in
-  let c = se +. th in
-  let vh, vl = quick_two_sum sh c in
-  let w = te +. vl in
-  quick_two_sum vh w
+let[@inline] dd_add w xh xl yh yl =
+  two_sum w xh yh;
+  let sh = w.h and se = w.l in
+  two_sum w xl yl;
+  let te = w.l in
+  let c = se +. w.h in
+  quick_two_sum w sh c;
+  let t = te +. w.l in
+  quick_two_sum w w.h t
 
-let dd_neg (h, l) = (-.h, -.l)
-let dd_sub x y = dd_add x (dd_neg y)
+let[@inline] dd_sub w xh xl yh yl = dd_add w xh xl (-.yh) (-.yl)
 
 (* dd multiplication: relative error <= 7 * 2^-106. *)
-let dd_mul (xh, xl) (yh, yl) =
-  let ph, pe = two_prod xh yh in
-  let pe = pe +. ((xh *. yl) +. (xl *. yh)) in
-  quick_two_sum ph pe
+let[@inline] dd_mul w xh xl yh yl =
+  two_prod w xh yh;
+  let ph = w.h in
+  let pe = w.l +. ((xh *. yl) +. (xl *. yh)) in
+  quick_two_sum w ph pe
 
-(* dd division (one Newton correction): relative error <= 15 * 2^-106. *)
-let dd_div (xh, xl) (yh, yl) =
+(* dd division (one Newton correction): relative error <= 15 * 2^-106.
+   The correction multiplies the dd (th, 0) by y, zero tail included. *)
+let[@inline] dd_div w xh xl yh yl =
   let th = xh /. yh in
-  let rh, rl = dd_sub (xh, xl) (dd_mul (th, 0.0) (yh, yl)) in
-  let tl = (rh +. rl) /. yh in
-  quick_two_sum th tl
+  dd_mul w th 0.0 yh yl;
+  dd_sub w xh xl w.h w.l;
+  let tl = (w.h +. w.l) /. yh in
+  quick_two_sum w th tl
 
-let dd_scale2 (h, l) = (2.0 *. h, 2.0 *. l) (* exact *)
+(* The dd values 1 / den j for j = 0 .. n-1, as hi and lo float arrays. *)
+let dd_recips n den =
+  let w = { h = 0.0; l = 0.0 } in
+  let hi = Array.make n 0.0 and lo = Array.make n 0.0 in
+  for j = 0 to n - 1 do
+    dd_div w 1.0 0.0 (den j) 0.0;
+    hi.(j) <- w.h;
+    lo.(j) <- w.l
+  done;
+  (hi, lo)
 
 (* ------------------------------------------------------------------ *)
 (* Outward rounding of a dd value with an explicit error radius        *)
@@ -82,15 +108,11 @@ let dd_scale2 (h, l) = (2.0 *. h, 2.0 *. l) (* exact *)
    that, plus an absolute floor where the value can vanish. One step
    instead of two is what makes the kernel strictly tighter than the
    legacy blanket two-ulp margin at every point input. *)
-let enclose_dd (vh, vl) err =
+let[@inline] enclose_dd vh vl err =
   let e = 1.25 *. err in
   let lo = Interval.lo_down (vh +. (vl -. e)) in
   let hi = Interval.hi_up (vh +. (vl +. e)) in
   Interval.of_bounds lo hi
-
-let ulp_of v =
-  let a = Float.abs v in
-  Float.succ a -. a
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch counters                                                   *)
@@ -167,51 +189,73 @@ let exp_rel_err = 2e-17
 let exp_dom_lo = -670.0
 let exp_dom_hi = 709.0
 
-let exp_coeffs =
-  (* 1/i!, i = 13 .. 0, as dd (Horner order). *)
+(* 1/i!, i = 13 .. 0, as dd (Horner order). *)
+let exp_coeff_hi, exp_coeff_lo =
   let fact = Array.make 14 1.0 in
   for i = 1 to 13 do
     fact.(i) <- fact.(i - 1) *. float_of_int i (* exact: 13! < 2^53 *)
   done;
-  Array.init 14 (fun j -> dd_div (1.0, 0.0) (fact.(13 - j), 0.0))
+  dd_recips 14 (fun j -> fact.(13 - j))
 
-(* Certified enclosure of exp(t) for a dd argument with its own absolute
-   error bound [terr]; requires exp_dom_lo <= t <= exp_dom_hi. *)
-let exp_core (th, tl) terr =
+(* w := exp(w) in dd, for exp_dom_lo <= w.h <= exp_dom_hi; relative error
+   < exp_rel_err. *)
+let exp_dd w =
+  let th = w.h and tl = w.l in
   let k = Float.round (th *. inv_ln2) in
   (* r = t - k*ln2 in dd: every product below is exact (two_prod; k is an
      integer < 2^11), so only the dd_add compressions round. *)
-  let p, pe = two_prod k ln2_hi in
-  let q, qe = two_prod k ln2_lo in
-  let s, se = two_sum th (-.p) in
-  let r = dd_sub (dd_add (s, se) (tl -. pe, 0.0)) (q, qe) in
-  let acc = ref exp_coeffs.(0) in
+  two_prod w k ln2_hi;
+  let p = w.h and pe = w.l in
+  two_prod w k ln2_lo;
+  let q = w.h and qe = w.l in
+  two_sum w th (-.p);
+  dd_add w w.h w.l (tl -. pe) 0.0;
+  dd_sub w w.h w.l q qe;
+  let rh = w.h and rl = w.l in
+  w.h <- exp_coeff_hi.(0);
+  w.l <- exp_coeff_lo.(0);
   for j = 1 to 13 do
-    acc := dd_add (dd_mul !acc r) exp_coeffs.(j)
+    dd_mul w w.h w.l rh rl;
+    dd_add w w.h w.l exp_coeff_hi.(j) exp_coeff_lo.(j)
   done;
-  let vh, vl = !acc in
   let ik = int_of_float k in
-  let sh = Float.ldexp vh ik and sl = Float.ldexp vl ik in
+  w.h <- Float.ldexp w.h ik;
+  w.l <- Float.ldexp w.l ik
+
+(* Certified enclosure of exp(t) for the dd argument t = w.h + w.l with
+   its own absolute error bound [terr]; requires exp_dom_lo <= w.h <=
+   exp_dom_hi. [w] is the kernel's workspace: its contents are lost. *)
+let exp_core w terr =
+  exp_dd w;
   (* Argument uncertainty terr maps through the Lipschitz constant of exp
      on the result's scale: |d exp| = exp <= 1.01 * |sh| relative-wise. *)
-  let err = Float.abs sh *. (exp_rel_err +. (1.01 *. terr)) in
-  enclose_dd (sh, sl) err
+  let err = Float.abs w.h *. (exp_rel_err +. (1.01 *. terr)) in
+  enclose_dd w.h w.l err
+
+(* The sound clamps for arguments outside the kernel's domain: [0, exp of
+   the low edge] below it, [exp of the high edge, +inf] above it. *)
+let exp_below_dom =
+  Interval.of_bounds 0.0
+    (Interval.sup (exp_core { h = exp_dom_lo; l = 0.0 } 0.0))
+
+let exp_above_dom =
+  Interval.of_bounds
+    (Interval.inf (exp_core { h = exp_dom_hi; l = 0.0 } 0.0))
+    Float.infinity
 
 (* Enclosure of exp at a single endpoint, sound for every float. *)
 let exp_point x =
   if x < exp_dom_lo then begin
     count_exp_fallback ();
-    Interval.of_bounds 0.0 (Interval.sup (exp_core (exp_dom_lo, 0.0) 0.0))
+    exp_below_dom
   end
   else if x > exp_dom_hi then begin
     count_exp_fallback ();
-    Interval.of_bounds
-      (Interval.inf (exp_core (exp_dom_hi, 0.0) 0.0))
-      Float.infinity
+    exp_above_dom
   end
   else begin
     count_exp_kernel ();
-    exp_core (x, 0.0) 0.0
+    exp_core { h = x; l = 0.0 } 0.0
   end
 
 let exp i =
@@ -247,49 +291,69 @@ let log_rel_err = 5e-20
 let log_abs_err = 1e-28
 let sqrt_half = 0.7071067811865476
 
-let log_coeffs =
-  (* 1/(2j+1), j = 11 .. 0, as dd (Horner order in s = u^2). *)
-  Array.init 12 (fun j -> dd_div (1.0, 0.0) (float_of_int (2 * (11 - j) + 1), 0.0))
+(* 1/(2j+1), j = 11 .. 0, as dd (Horner order in s = u^2). *)
+let log_coeff_hi, log_coeff_lo =
+  dd_recips 12 (fun j -> float_of_int ((2 * (11 - j)) + 1))
 
-(* dd log of a positive finite float, with its derived error radius. *)
-let log_core x =
+(* w := log x in dd, for a positive finite float x; its error radius is
+   [log_err w.h]. *)
+let log_dd w x =
   let m0, e0 = Float.frexp x in
-  let m, e = if m0 < sqrt_half then (m0 *. 2.0, e0 - 1) else (m0, e0) in
+  let halve = m0 < sqrt_half in
+  let m = if halve then m0 *. 2.0 else m0 in
+  let e = if halve then e0 - 1 else e0 in
   let num = m -. 1.0 in
-  let den = two_sum m 1.0 in
-  let u = dd_div (num, 0.0) den in
-  let s = dd_mul u u in
-  let acc = ref log_coeffs.(0) in
+  two_sum w m 1.0;
+  dd_div w num 0.0 w.h w.l;
+  let uh = w.h and ul = w.l in
+  dd_mul w uh ul uh ul;
+  let sh = w.h and sl = w.l in
+  w.h <- log_coeff_hi.(0);
+  w.l <- log_coeff_lo.(0);
   for j = 1 to 11 do
-    acc := dd_add (dd_mul !acc s) log_coeffs.(j)
+    dd_mul w w.h w.l sh sl;
+    dd_add w w.h w.l log_coeff_hi.(j) log_coeff_lo.(j)
   done;
-  let logm = dd_scale2 (dd_mul u !acc) in
+  dd_mul w uh ul w.h w.l;
+  (* log m = 2 u P(s); the doubling is exact *)
+  let lh = 2.0 *. w.h and ll = 2.0 *. w.l in
   let ef = float_of_int e in
-  let p, pe = two_prod ef ln2_hi in
-  let q, qe = two_prod ef ln2_lo in
-  let v = dd_add (dd_add (p, pe) (q, qe)) logm in
-  let vh, _ = v in
-  (v, (Float.abs vh *. log_rel_err) +. log_abs_err)
+  two_prod w ef ln2_hi;
+  let p = w.h and pe = w.l in
+  two_prod w ef ln2_lo;
+  dd_add w p pe w.h w.l;
+  dd_add w w.h w.l lh ll
+
+let[@inline] log_err vh = (Float.abs vh *. log_rel_err) +. log_abs_err
 
 let log_point x =
   count_log_kernel ();
-  let v, err = log_core x in
-  enclose_dd v err
+  let w = { h = 0.0; l = 0.0 } in
+  log_dd w x;
+  enclose_dd w.h w.l (log_err w.h)
 
 let log i =
   let i = Interval.meet i Interval.nonneg in
   if Interval.is_empty i then Interval.empty
   else begin
     let a = Interval.inf i and b = Interval.sup i in
-    let lo =
-      if a = 0.0 then Float.neg_infinity else Interval.inf (log_point a)
-    in
-    let hi =
-      if b = 0.0 then Float.neg_infinity
-      else if b = Float.infinity then Float.infinity
-      else Interval.sup (log_point b)
-    in
-    Interval.of_bounds lo hi
+    if a = b && a > 0.0 && a < Float.infinity then begin
+      (* A point: one kernel evaluation serves both endpoints (the
+         counter still counts two). *)
+      count_log_kernel ();
+      log_point a
+    end
+    else begin
+      let lo =
+        if a = 0.0 then Float.neg_infinity else Interval.inf (log_point a)
+      in
+      let hi =
+        if b = 0.0 then Float.neg_infinity
+        else if b = Float.infinity then Float.infinity
+        else Interval.sup (log_point b)
+      in
+      Interval.of_bounds lo hi
+    end
   end
 
 (* ------------------------------------------------------------------ *)
@@ -301,25 +365,38 @@ let log i =
    rounding that the float path ignores (|ln x| * ulp(p/q)/2, up to ~100
    ulps of the result for extreme bases) never enters. The absolute error
    of t = r_dd * ln_dd(x) maps to the same relative error on exp t. *)
-let pow_rat_point x rat =
-  (* x > 0 finite. *)
-  let y = dd_div (float_of_int (Rat.num rat), 0.0) (float_of_int (Rat.den rat), 0.0) in
-  let lx, lerr = log_core x in
-  let th, tl = dd_mul y lx in
-  let yh, _ = y in
+let pow_rat_point ~ends x rat =
+  (* x > 0 finite; the evaluation serves [ends] endpoints, which is what
+     the fallback counter counts. *)
+  let w = { h = 0.0; l = 0.0 } in
+  log_dd w x;
+  let lh = w.h and ll = w.l in
+  let lerr = log_err lh in
+  dd_div w (float_of_int (Rat.num rat)) 0.0 (float_of_int (Rat.den rat)) 0.0;
+  let yh = w.h in
+  dd_mul w yh w.l lh ll;
+  let th = w.h in
   (* |d(y * lx)| <= |y| * lerr + |t| * (rel of y and of the product). *)
   let terr = (Float.abs yh *. lerr) +. (Float.abs th *. 1e-30) in
   if th < exp_dom_lo then begin
-    count_exp_fallback ();
-    Interval.of_bounds 0.0 (Interval.sup (exp_core (exp_dom_lo, 0.0) 0.0))
+    Obs.Metrics.incr m_exp_fallback ends;
+    exp_below_dom
   end
   else if th > exp_dom_hi then begin
-    count_exp_fallback ();
-    Interval.of_bounds
-      (Interval.inf (exp_core (exp_dom_hi, 0.0) 0.0))
-      Float.infinity
+    Obs.Metrics.incr m_exp_fallback ends;
+    exp_above_dom
   end
-  else exp_core (th, tl) terr
+  else exp_core w terr
+
+(* Endpoint enclosure of x^r for x >= 0. *)
+let pow_rat_at ~ends ~pos x rat =
+  if x = 0.0 then
+    if pos then Interval.zero
+    else Interval.of_bounds Float.infinity Float.infinity
+  else if x = Float.infinity then
+    if pos then Interval.of_bounds Float.infinity Float.infinity
+    else Interval.zero
+  else pow_rat_point ~ends x rat
 
 let pow_rat i rat =
   match Rat.to_int rat with
@@ -334,26 +411,25 @@ let pow_rat i rat =
       else begin
         count_pow_rat_kernel ();
         let pos = Rat.sign rat > 0 in
-        let at x =
-          (* endpoint enclosure of x^r for x >= 0 *)
-          if x = 0.0 then
-            if pos then Interval.zero
-            else Interval.of_bounds Float.infinity Float.infinity
-          else if x = Float.infinity then
-            if pos then Interval.of_bounds Float.infinity Float.infinity
-            else Interval.zero
-          else pow_rat_point x rat
-        in
-        let ia = at (Interval.inf i) and ib = at (Interval.sup i) in
-        (* monotone increasing for r > 0, decreasing for r < 0 *)
-        if pos then
-          Interval.of_bounds
-            (Float.max 0.0 (Interval.inf ia))
-            (Interval.sup ib)
-        else
-          Interval.of_bounds
-            (Float.max 0.0 (Interval.inf ib))
-            (Interval.sup ia)
+        let a = Interval.inf i and b = Interval.sup i in
+        if a = b then begin
+          (* A point: one evaluation serves both endpoints. *)
+          let e = pow_rat_at ~ends:2 ~pos a rat in
+          Interval.of_bounds (Float.max 0.0 (Interval.inf e)) (Interval.sup e)
+        end
+        else begin
+          let ia = pow_rat_at ~ends:1 ~pos a rat
+          and ib = pow_rat_at ~ends:1 ~pos b rat in
+          (* monotone increasing for r > 0, decreasing for r < 0 *)
+          if pos then
+            Interval.of_bounds
+              (Float.max 0.0 (Interval.inf ia))
+              (Interval.sup ib)
+          else
+            Interval.of_bounds
+              (Float.max 0.0 (Interval.inf ib))
+              (Interval.sup ia)
+        end
       end
 
 (* ------------------------------------------------------------------ *)
@@ -368,20 +444,28 @@ let trig_reduce_max = 0x1p52
    products; the only approximation is the constant's defect (|k| *
    two_pi_defect) plus two dd_add compressions on magnitudes <= 5:
    < 2e-31. *)
-let reduce_shifted k x =
-  if k = 0.0 then ((x, 0.0), 0.0)
+let[@inline] reduce_shifted w k x =
+  if k = 0.0 then begin
+    w.h <- x;
+    w.l <- 0.0;
+    0.0
+  end
   else begin
-    let p, pe = two_prod k two_pi_hi in
-    let q, qe = two_prod k two_pi_lo in
-    let s, se = two_sum x (-.p) in
-    let r = dd_sub (dd_add (s, se) (-.pe, 0.0)) (q, qe) in
-    (r, (Float.abs k *. two_pi_defect) +. 1e-30)
+    two_prod w k two_pi_hi;
+    let p = w.h and pe = w.l in
+    two_prod w k two_pi_lo;
+    let q = w.h and qe = w.l in
+    two_sum w x (-.p);
+    dd_add w w.h w.l (-.pe) 0.0;
+    dd_sub w w.h w.l q qe;
+    (Float.abs k *. two_pi_defect) +. 1e-30
   end
 
 let reduce_two_pi x =
   let k = Float.round (x *. inv_two_pi) in
-  let (rh, rl), err = reduce_shifted k x in
-  (rh, rl, err)
+  let w = { h = 0.0; l = 0.0 } in
+  let err = reduce_shifted w k x in
+  (w.h, w.l, err)
 
 (* Containment slack for the critical-point test on the *reduced*
    argument: the reduced interval lives in [-16, 16], where reconstructing
@@ -413,13 +497,16 @@ let trig_certified f phase_of_max i =
       (* One shift k for both endpoints, so the reduced interval is the
          original translated by exactly k * 2pi. *)
       let k = Float.round (Interval.midpoint i *. inv_two_pi) in
-      let (rah, ral), ea = reduce_shifted k a in
-      let (rbh, rbl), eb = reduce_shifted k b in
+      let w = { h = 0.0; l = 0.0 } in
+      let ea = reduce_shifted w k a in
+      let rah = w.h and ral = w.l in
+      let eb = reduce_shifted w k b in
+      let rbh = w.h and rbl = w.l in
       let arg_a = rah +. ral and arg_b = rbh +. rbl in
       (* Endpoint argument uncertainty: reduction error + the rounding of
          collapsing the dd to one double (zero on the k = 0 path). *)
-      let da = ea +. (if ral = 0.0 then 0.0 else ulp_of arg_a) in
-      let db = eb +. (if rbl = 0.0 then 0.0 else ulp_of arg_b) in
+      let da = ea +. (if ral = 0.0 then 0.0 else Interval.ulp arg_a) in
+      let db = eb +. (if rbl = 0.0 then 0.0 else Interval.ulp arg_b) in
       let fa = f arg_a and fb = f arg_b in
       (* f is 1-Lipschitz: argument slack widens the value directly; two
          pred/succ steps cover libm's faithful rounding as before. *)

@@ -31,7 +31,7 @@
     Relative bounds apply to the dd value computed by the kernel; see the
     derivations in [certified.ml]. *)
 
-(** Relative error of the dd [exp] kernel on [|x| <= 708]. *)
+(** Relative error of the dd [exp] kernel on [[-670, 709]]. *)
 val exp_rel_err : float
 
 (** Relative error of [log m] on the reduced mantissa, plus the absolute
@@ -48,10 +48,28 @@ val two_pi_defect : float
     quotient [k] would no longer be exactly representable. *)
 val trig_reduce_max : float
 
+(** {1 Double-double values}
+
+    The kernels compute in double-double: [h + l] with [|l| <= ulp(h)/2],
+    held in a flat record the dd arithmetic writes in place. The two
+    kernel cores are exposed so the dd values themselves, not only the
+    enclosures rounded from them, can be compared bit for bit in tests. *)
+
+type dd = { mutable h : float; mutable l : float }
+
+(** [exp_dd w] replaces the dd [w], which needs
+    [-670 <= w.h <= 709], by its exponential; relative error
+    {!exp_rel_err}, before any rounding to an enclosure. *)
+val exp_dd : dd -> unit
+
+(** [log_dd w x] sets [w] to the natural logarithm of the positive finite
+    [x]; error at most [|w.h| * log_rel_err + log_abs_err]. *)
+val log_dd : dd -> float -> unit
+
 (** {1 Kernels} *)
 
 (** [exp i]: certified enclosure of [e^x] over [i]. Sound on all inputs;
-    the dd kernel engages for endpoint magnitudes [<= 708], outside it
+    the dd kernel engages for endpoints in [[-670, 709]], outside it
     falls back to the conservative monotone hull [[0, +inf]] seeded with
     the representable extremes. *)
 val exp : Interval.t -> Interval.t

@@ -1,5 +1,28 @@
 type t = { lo : float; hi : float }
 
+(* Float.min / Float.max with the ordered case inline; ties (signed zeros)
+   and NaN fall through to the stdlib, so every result is the stdlib's. *)
+let[@inline] fmin x y = if x < y then x else if y < x then y else Float.min x y
+let[@inline] fmax x y = if x > y then x else if y > x then y else Float.max x y
+
+(* ------------------------------------------------------------------ *)
+(* Outward rounding                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* One bit-pattern step (interval_stubs.c): Float.pred / Float.succ on
+   finite inputs, the identity on infinities and NaN. *)
+external lo_down : float -> float
+  = "xcv_interval_lo_down_byte" "xcv_interval_lo_down"
+[@@unboxed] [@@noalloc]
+
+external hi_up : float -> float
+  = "xcv_interval_hi_up_byte" "xcv_interval_hi_up"
+[@@unboxed] [@@noalloc]
+
+let ulp v =
+  let a = Float.abs v in
+  hi_up a -. a
+
 (* Empty is canonically [{lo = +inf; hi = -inf}]. *)
 let empty = { lo = Float.infinity; hi = Float.neg_infinity }
 let is_empty i = not (i.lo <= i.hi)
@@ -33,11 +56,11 @@ let midpoint i =
     let m = 0.5 *. (i.lo +. i.hi) in
     if Float.is_finite m then m else (0.5 *. i.lo) +. (0.5 *. i.hi)
   end
-  else if Float.is_finite i.lo then Float.max i.lo 1e150
-  else if Float.is_finite i.hi then Float.min i.hi (-1e150)
+  else if Float.is_finite i.lo then fmax i.lo 1e150
+  else if Float.is_finite i.hi then fmin i.hi (-1e150)
   else 0.0
 
-let mag i = if is_empty i then 0.0 else Float.max (Float.abs i.lo) (Float.abs i.hi)
+let mag i = if is_empty i then 0.0 else fmax (Float.abs i.lo) (Float.abs i.hi)
 
 let mig i =
   if is_empty i then 0.0
@@ -48,12 +71,12 @@ let mig i =
 let equal a b =
   (is_empty a && is_empty b) || (a.lo = b.lo && a.hi = b.hi)
 
-let meet a b = of_bounds (Float.max a.lo b.lo) (Float.min a.hi b.hi)
+let meet a b = of_bounds (fmax a.lo b.lo) (fmin a.hi b.hi)
 
 let join a b =
   if is_empty a then b
   else if is_empty b then a
-  else { lo = Float.min a.lo b.lo; hi = Float.max a.hi b.hi }
+  else { lo = fmin a.lo b.lo; hi = fmax a.hi b.hi }
 
 let split i =
   if is_empty i || is_point i then invalid_arg "Interval.split";
@@ -63,20 +86,13 @@ let split i =
      splitting worklist. Nudge one ulp inward; if no interior float exists
      the interval is not splittable at all. *)
   let m =
-    if m <= i.lo then Float.succ i.lo
-    else if m >= i.hi then Float.pred i.hi
+    if m <= i.lo then hi_up i.lo
+    else if m >= i.hi then lo_down i.hi
     else m
   in
   if not (i.lo < m && m < i.hi) then
     invalid_arg "Interval.split: no float strictly inside";
   ({ lo = i.lo; hi = m }, { lo = m; hi = i.hi })
-
-(* ------------------------------------------------------------------ *)
-(* Outward rounding                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let lo_down x = if Float.is_finite x then Float.pred x else x
-let hi_up x = if Float.is_finite x then Float.succ x else x
 
 (* ------------------------------------------------------------------ *)
 (* Ring operations                                                     *)
@@ -107,8 +123,8 @@ let mul a b =
     let p3 = xmul a.hi b.lo in
     let p4 = xmul a.hi b.hi in
     of_bounds
-      (lo_down (Float.min (Float.min p1 p2) (Float.min p3 p4)))
-      (hi_up (Float.max (Float.max p1 p2) (Float.max p3 p4)))
+      (lo_down (fmin (fmin p1 p2) (fmin p3 p4)))
+      (hi_up (fmax (fmax p1 p2) (fmax p3 p4)))
   end
 
 let xdiv x y =
@@ -130,8 +146,8 @@ let div a b =
     let q3 = xdiv a.hi b.lo in
     let q4 = xdiv a.hi b.hi in
     of_bounds
-      (lo_down (Float.min (Float.min q1 q2) (Float.min q3 q4)))
-      (hi_up (Float.max (Float.max q1 q2) (Float.max q3 q4)))
+      (lo_down (fmin (fmin q1 q2) (fmin q3 q4)))
+      (hi_up (fmax (fmax q1 q2) (fmax q3 q4)))
   end
 
 (* Relational division, the projection the HC4 backward pass for products
@@ -150,7 +166,7 @@ let abs i =
   if is_empty i then empty
   else if i.lo >= 0.0 then i
   else if i.hi <= 0.0 then neg i
-  else { lo = 0.0; hi = Float.max (-.i.lo) i.hi }
+  else { lo = 0.0; hi = fmax (-.i.lo) i.hi }
 
 (* ------------------------------------------------------------------ *)
 (* Powers                                                              *)
@@ -201,6 +217,14 @@ let pow i p =
     pow_int i (int_of_float p)
   else pow_nonneg_base i p
 
+(* [fmin]/[fmax] folded left to right over the non-NaN operands only: a
+   NaN accumulator means no non-NaN value has been seen yet. *)
+let[@inline] nan_skip_min a b =
+  if Float.is_nan a then b else if Float.is_nan b then a else fmin a b
+
+let[@inline] nan_skip_max a b =
+  if Float.is_nan a then b else if Float.is_nan b then a else fmax a b
+
 let pow_expr base expo =
   if is_empty base || is_empty expo then empty
   else if is_point expo then pow base expo.lo
@@ -210,27 +234,19 @@ let pow_expr base expo =
     let b = meet base nonneg in
     if is_empty b then empty
     else begin
-      let corner bx px = pow_bound bx px in
-      let cs =
-        [
-          corner b.lo expo.lo;
-          corner b.lo expo.hi;
-          corner b.hi expo.lo;
-          corner b.hi expo.hi;
-        ]
-        |> List.filter (fun v -> not (Float.is_nan v))
-      in
-      match cs with
-      | [] -> empty
-      | c :: rest ->
-          let lo = List.fold_left Float.min c rest in
-          let hi = List.fold_left Float.max c rest in
-          (* Interior extrema of x^y on a box lie on the edges x in {b.lo,
-             b.hi} or y in {expo.lo, expo.hi}, where the function is monotone
-             in the remaining variable — corners suffice except across x = 1,
-             which corner evaluation also covers since x^y is monotone in y
-             for fixed x. *)
-          of_bounds (lo_down lo) (hi_up hi)
+      let c1 = pow_bound b.lo expo.lo and c2 = pow_bound b.lo expo.hi
+      and c3 = pow_bound b.hi expo.lo and c4 = pow_bound b.hi expo.hi in
+      (* Interior extrema of x^y on a box lie on the edges x in {b.lo,
+         b.hi} or y in {expo.lo, expo.hi}, where the function is monotone
+         in the remaining variable — corners suffice except across x = 1,
+         which corner evaluation also covers since x^y is monotone in y
+         for fixed x. NaN corners are skipped; if all four are NaN there
+         is no value. *)
+      let lo = nan_skip_min (nan_skip_min (nan_skip_min c1 c2) c3) c4 in
+      if Float.is_nan lo then empty
+      else
+        let hi = nan_skip_max (nan_skip_max (nan_skip_max c1 c2) c3) c4 in
+        of_bounds (lo_down lo) (hi_up hi)
     end
   end
 

@@ -6,7 +6,9 @@
     each bound in round-to-nearest and then widening outward by one ulp per
     operation (two for the transcendental functions, whose libm
     implementations may be off by one ulp); this over-approximates true
-    directed rounding but never under-approximates.
+    directed rounding but never under-approximates. The one-ulp step is
+    taken on the IEEE-754 bit pattern ({!lo_down}, {!hi_up}), with no libm
+    call and no change of the FPU rounding mode.
 
     Domain semantics follow SMT-over-reals: an operation applied outside its
     real domain contributes no values. [log [-2, -1]] is {!empty};
@@ -130,10 +132,22 @@ val possibly_lt : t -> float -> bool
 (** {1 Rounding helpers (shared with {!Transcend})} *)
 
 (** [lo_down x] steps [x] one ulp toward [-inf]; [hi_up x] one ulp toward
-    [+inf]. Infinities are fixed points. *)
-val lo_down : float -> float
+    [+inf]. On finite [x] they are [Float.pred] / [Float.succ] bit for bit
+    (so [lo_down 0.] is minus the smallest subnormal and [lo_down
+    (-.max_float)] is [neg_infinity]); infinities and NaN are returned
+    unchanged. Each is one C primitive that steps the bit pattern, declared
+    here so callers in other modules call it directly, without boxing. *)
+external lo_down : float -> float
+  = "xcv_interval_lo_down_byte" "xcv_interval_lo_down"
+[@@unboxed] [@@noalloc]
 
-val hi_up : float -> float
+external hi_up : float -> float
+  = "xcv_interval_hi_up_byte" "xcv_interval_hi_up"
+[@@unboxed] [@@noalloc]
+
+(** [ulp v] is [hi_up |v| - |v|], the spacing of floats just above [|v|]
+    ([nan] for infinite [v]). *)
+val ulp : float -> float
 
 (** [of_bounds lo hi] builds an interval from already-directed bounds,
     normalizing empty ([lo > hi]) to {!empty}. Used by {!Transcend}. *)

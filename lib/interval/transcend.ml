@@ -11,14 +11,10 @@ let mono_inc f i =
    enclosures change contraction; on wide intervals the enclosure width is
    dominated by the function's variation and the cheaper libm path loses
    nothing. *)
-let ulp_of v =
-  let a = Float.abs v in
-  Float.succ a -. a
-
 let narrow i =
   Interval.is_bounded i
   && (Interval.is_point i
-     || Interval.width i <= 32.0 *. ulp_of (Interval.mag i))
+     || Interval.width i <= 32.0 *. Interval.ulp (Interval.mag i))
 
 (* ------------------------------------------------------------------ *)
 (* libm enclosures                                                     *)
@@ -237,7 +233,8 @@ let cos i = Interval.meet (Legacy.cos i) (Certified.cos i)
    near the branch point, or stride exhausted) and the caller repairs it
    with the certified kernel. *)
 
-let w_stride w = Float.max 1e-300 (Float.max (4.0 *. ulp_of w) (Float.abs w *. 4e-17))
+let w_stride w =
+  Float.max 1e-300 (Float.max (4.0 *. Interval.ulp w) (Float.abs w *. 4e-17))
 
 let certify_lo x =
   if x = Float.neg_infinity then Float.nan
@@ -307,7 +304,7 @@ let widen_exponent_rounding i base p =
   else begin
     let ln_extreme x = if x > 0.0 && x < Float.infinity then Float.abs (Stdlib.log x) else 0.0 in
     let lnb = Float.max (ln_extreme (Interval.mig i)) (ln_extreme (Interval.mag i)) in
-    let d = (lnb +. 1.0) *. ulp_of p in
+    let d = (lnb +. 1.0) *. Interval.ulp p in
     (* base is within [0, +inf] (nonneg-base semantics). *)
     let lo = Interval.inf base and hi = Interval.sup base in
     let lo =

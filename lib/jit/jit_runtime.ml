@@ -6,7 +6,8 @@
    backward, adjoint, mean-value form) and [Hc4.contract_tape]'s dirty
    agenda. Bit-identity with the interpreted tape is the contract: every
    floating-point operation appears in the same order, with the same
-   software outward rounding ([nextafter], never [fesetround]), the same
+   software outward rounding (a one-ulp step of the bit pattern, never
+   [fesetround]), the same
    NaN/signed-zero handling ([o_min]/[o_max] replicate [Float.min]/
    [Float.max]), and the same libm entry points the OCaml runtime calls.
 
@@ -25,10 +26,22 @@ let engine =
 
 /* ================= floats: OCaml Float.* replicas ================= */
 
-static inline double f_pred(double x) { return nextafter(x, -INFINITY); }
-static inline double f_succ(double x) { return nextafter(x, INFINITY); }
-static inline double lo_down(double x) { return isfinite(x) ? f_pred(x) : x; }
-static inline double hi_up(double x) { return isfinite(x) ? f_succ(x) : x; }
+/* Interval.lo_down / hi_up (interval_stubs.c): one ulp toward -inf / +inf
+   by stepping the bit pattern; infinities and NaN are fixed points, +-0
+   steps to the smallest subnormal of the step's sign. */
+static inline double f_step(double x, int up)
+{
+  uint64_t u;
+  memcpy(&u, &x, sizeof u);
+  if ((u & UINT64_C(0x7ff0000000000000)) == UINT64_C(0x7ff0000000000000))
+    return x;
+  if ((u << 1) == 0) u = up ? 0 : UINT64_C(0x8000000000000000); /* +-0 */
+  if ((u >> 63) == (uint64_t)up) u -= 1; else u += 1; /* toward / away from zero */
+  memcpy(&x, &u, sizeof x);
+  return x;
+}
+static inline double lo_down(double x) { return f_step(x, 0); }
+static inline double hi_up(double x) { return f_step(x, 1); }
 static inline double down2(double x) { return lo_down(lo_down(x)); }
 static inline double up2(double x) { return hi_up(hi_up(x)); }
 
@@ -45,7 +58,7 @@ static inline double o_max(double x, double y)
 }
 
 static inline int f_is_integer(double x) { return isfinite(x) && x == trunc(x); }
-static inline double ulp_of(double v) { return f_succ(fabs(v)) - fabs(v); }
+static inline double ulp_of(double v) { return hi_up(fabs(v)) - fabs(v); }
 
 /* Eval.pow_float: exact binary exponentiation for small integer exponents,
    libm pow otherwise. */

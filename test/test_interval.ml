@@ -94,6 +94,34 @@ let containment_qcheck name ixf ff =
       Float.is_nan v || Interval.is_empty i = false && Interval.mem v i
       || Interval.is_empty i)
 
+(* The outward-rounding primitives step the bit pattern; on finite inputs
+   that must be the stdlib's Float.pred / Float.succ bit for bit, and
+   non-finite inputs come back unchanged. Random bit patterns cover every
+   exponent (subnormals and NaN payloads included); the edges are drawn
+   on purpose. *)
+let rounding_edges =
+  let min_sub = Int64.float_of_bits 1L in
+  [
+    0.0; -0.0; min_sub; -.min_sub; Float.max_float; -.Float.max_float;
+    Float.infinity; Float.neg_infinity; Float.nan;
+  ]
+
+(* Quick, so the default (-q) test run includes it: it costs well under a
+   millisecond. *)
+let rounding_qcheck =
+  QCheck_alcotest.to_alcotest ~speed_level:`Quick
+    (QCheck2.Test.make ~count:2000
+       ~name:"lo_down/hi_up are pred/succ bit for bit"
+       QCheck2.Gen.(
+         frequency
+           [ (3, map Int64.float_of_bits int64); (1, oneofl rounding_edges) ])
+       (fun x ->
+         if Float.is_finite x then
+           same_bits (Interval.lo_down x) (Float.pred x)
+           && same_bits (Interval.hi_up x) (Float.succ x)
+         else
+           same_bits (Interval.lo_down x) x && same_bits (Interval.hi_up x) x))
+
 let suite =
   [
     case "construction" test_construction;
@@ -104,6 +132,7 @@ let suite =
     case "powers" test_powers;
     case "sign tests" test_sign_tests;
     case "splitting" test_split;
+    rounding_qcheck;
     containment_qcheck "exp containment" Transcend.exp Stdlib.exp;
     containment_qcheck "log containment" Transcend.log Stdlib.log;
     containment_qcheck "atan containment" Transcend.atan Stdlib.atan;

@@ -911,25 +911,30 @@ let count_sub s sub =
   in
   go 0 0
 
-(* -j past the recommended domain count warns exactly once on stderr, and
+(* -j past the recommended domain count warns exactly once on stderr, also
+   when a --shards supervisor spawns shard processes that each get the -j;
    a fitting -j stays silent. Only the workers=4 pass runs it. *)
 let test_cli_warns_oversubscribed () =
   match Sys.getenv_opt "XCV_CLI" with
   | None -> ()
   | Some _ when test_workers = 1 -> ()
   | Some cli ->
-      let warnings j =
-        let code, out =
-          run_cli cli
-            [ "verify"; "-d"; "pz81"; "-c"; "ec1"; "-j"; string_of_int j ]
-        in
-        Alcotest.(check int) "verify exits 0" 0 code;
+      let warnings args j =
+        let code, out = run_cli cli (args @ [ "-j"; string_of_int j ]) in
+        Alcotest.(check int) "CLI exits 0" 0 code;
         count_sub out "warning: -j"
       in
+      let verify = [ "verify"; "-d"; "pz81"; "-c"; "ec1" ] in
       let cores = Domain.recommended_domain_count () in
       Alcotest.(check int) "one warning past the core count" 1
-        (warnings (cores + 1));
-      Alcotest.(check int) "no warning at the core count" 0 (warnings cores)
+        (warnings verify (cores + 1));
+      Alcotest.(check int) "no warning at the core count" 0
+        (warnings verify cores);
+      Alcotest.(check int) "one warning from a sharded campaign" 1
+        (warnings
+           [ "campaign"; "--fuel"; "5"; "-t"; "5"; "--shards"; "2";
+             "--checkpoint"; Filename.concat (temp_dir ()) "ck" ]
+           (cores + 1))
 
 (* --jit-cache without --jit warns exactly once on stderr, also when a
    --shards supervisor spawns shard processes; with --jit the cache is

@@ -496,6 +496,253 @@ let test_meet_binds_near_underflow () =
         (narrower (Transcend.pow_rat base r) (Certified.pow_rat base r)))
     [ -700.0; -680.0 ]
 
+(* ------------------------------------------------------------------ *)
+(* Bit identity with the tuple-based dd kernels                        *)
+(* ------------------------------------------------------------------ *)
+
+(* A frozen copy of Certified's dd kernels as they were written over
+   tuples, with outward rounding by the stdlib's Float.pred / Float.succ.
+   The in-place kernels must reproduce every bit of it: the same
+   operations in the same association order, and one bit-pattern step for
+   each pred/succ. Counters are left out. *)
+module Frozen = struct
+  let lo_down x = if Float.is_finite x then Float.pred x else x
+  let hi_up x = if Float.is_finite x then Float.succ x else x
+
+  let two_sum a b =
+    let s = a +. b in
+    let b' = s -. a in
+    (s, (a -. (s -. b')) +. (b -. b'))
+
+  let quick_two_sum a b =
+    let s = a +. b in
+    (s, b -. (s -. a))
+
+  let two_prod a b =
+    let p = a *. b in
+    (p, Float.fma a b (-.p))
+
+  let dd_add (xh, xl) (yh, yl) =
+    let sh, se = two_sum xh yh in
+    let th, te = two_sum xl yl in
+    let c = se +. th in
+    let vh, vl = quick_two_sum sh c in
+    let w = te +. vl in
+    quick_two_sum vh w
+
+  let dd_sub x (yh, yl) = dd_add x (-.yh, -.yl)
+
+  let dd_mul (xh, xl) (yh, yl) =
+    let ph, pe = two_prod xh yh in
+    let pe = pe +. ((xh *. yl) +. (xl *. yh)) in
+    quick_two_sum ph pe
+
+  let dd_div (xh, xl) (yh, yl) =
+    let th = xh /. yh in
+    let rh, rl = dd_sub (xh, xl) (dd_mul (th, 0.0) (yh, yl)) in
+    let tl = (rh +. rl) /. yh in
+    quick_two_sum th tl
+
+  let enclose_dd (vh, vl) err =
+    let e = 1.25 *. err in
+    Interval.of_bounds (lo_down (vh +. (vl -. e))) (hi_up (vh +. (vl +. e)))
+
+  let ln2_hi = 0x1.62e42fefa39efp-1
+  let ln2_lo = 0x1.abc9e3b39803fp-56
+  let inv_ln2 = 0x1.71547652b82fep+0
+  let two_pi_hi = 0x1.921fb54442d18p+2
+  let two_pi_lo = 0x1.1a62633145c07p-52
+  let inv_two_pi = 0x1.45f306dc9c883p-3
+
+  let exp_coeffs =
+    let fact = Array.make 14 1.0 in
+    for i = 1 to 13 do
+      fact.(i) <- fact.(i - 1) *. float_of_int i
+    done;
+    Array.init 14 (fun j -> dd_div (1.0, 0.0) (fact.(13 - j), 0.0))
+
+  let exp_dd (th, tl) =
+    let k = Float.round (th *. inv_ln2) in
+    let p, pe = two_prod k ln2_hi in
+    let q, qe = two_prod k ln2_lo in
+    let s, se = two_sum th (-.p) in
+    let r = dd_sub (dd_add (s, se) (tl -. pe, 0.0)) (q, qe) in
+    let acc = ref exp_coeffs.(0) in
+    for j = 1 to 13 do
+      acc := dd_add (dd_mul !acc r) exp_coeffs.(j)
+    done;
+    let vh, vl = !acc in
+    let ik = int_of_float k in
+    (Float.ldexp vh ik, Float.ldexp vl ik)
+
+  let exp_core t terr =
+    let sh, sl = exp_dd t in
+    let err = Float.abs sh *. (Certified.exp_rel_err +. (1.01 *. terr)) in
+    enclose_dd (sh, sl) err
+
+  let exp_point x =
+    if x < -670.0 then
+      Interval.of_bounds 0.0 (Interval.sup (exp_core (-670.0, 0.0) 0.0))
+    else if x > 709.0 then
+      Interval.of_bounds (Interval.inf (exp_core (709.0, 0.0) 0.0)) infinity
+    else exp_core (x, 0.0) 0.0
+
+  let exp i =
+    if Interval.is_empty i then Interval.empty
+    else
+      Interval.of_bounds
+        (Float.max 0.0 (Interval.inf (exp_point (Interval.inf i))))
+        (Interval.sup (exp_point (Interval.sup i)))
+
+  let log_coeffs =
+    Array.init 12 (fun j ->
+        dd_div (1.0, 0.0) (float_of_int ((2 * (11 - j)) + 1), 0.0))
+
+  let log_dd x =
+    let m0, e0 = Float.frexp x in
+    let m, e =
+      if m0 < 0.7071067811865476 then (m0 *. 2.0, e0 - 1) else (m0, e0)
+    in
+    let u = dd_div (m -. 1.0, 0.0) (two_sum m 1.0) in
+    let s = dd_mul u u in
+    let acc = ref log_coeffs.(0) in
+    for j = 1 to 11 do
+      acc := dd_add (dd_mul !acc s) log_coeffs.(j)
+    done;
+    let lh, ll = dd_mul u !acc in
+    let ef = float_of_int e in
+    let v =
+      dd_add
+        (dd_add (two_prod ef ln2_hi) (two_prod ef ln2_lo))
+        (2.0 *. lh, 2.0 *. ll)
+    in
+    let vh, _ = v in
+    (v, (Float.abs vh *. Certified.log_rel_err) +. Certified.log_abs_err)
+
+  let log i =
+    let i = Interval.meet i Interval.nonneg in
+    if Interval.is_empty i then Interval.empty
+    else begin
+      let at x = let v, err = log_dd x in enclose_dd v err in
+      let a = Interval.inf i and b = Interval.sup i in
+      Interval.of_bounds
+        (if a = 0.0 then neg_infinity else Interval.inf (at a))
+        (if b = 0.0 then neg_infinity
+         else if b = infinity then infinity
+         else Interval.sup (at b))
+    end
+
+  let pow_rat_point x rat =
+    let y =
+      dd_div (float_of_int (Rat.num rat), 0.0) (float_of_int (Rat.den rat), 0.0)
+    in
+    let lx, lerr = log_dd x in
+    let th, tl = dd_mul y lx in
+    let yh, _ = y in
+    let terr = (Float.abs yh *. lerr) +. (Float.abs th *. 1e-30) in
+    if th < -670.0 || th > 709.0 then exp_point th else exp_core (th, tl) terr
+
+  let pow_rat i rat =
+    match Rat.to_int rat with
+    | Some n -> Interval.pow_int i n
+    | None ->
+        let i = Interval.meet i Interval.nonneg in
+        if Interval.is_empty i then Interval.empty
+        else begin
+          let pos = Rat.sign rat > 0 in
+          let at x =
+            if x = 0.0 then
+              if pos then Interval.zero else Interval.of_bounds infinity infinity
+            else if x = infinity then
+              if pos then Interval.of_bounds infinity infinity else Interval.zero
+            else pow_rat_point x rat
+          in
+          let ia = at (Interval.inf i) and ib = at (Interval.sup i) in
+          let lo, hi = if pos then (ia, ib) else (ib, ia) in
+          Interval.of_bounds (Float.max 0.0 (Interval.inf lo)) (Interval.sup hi)
+        end
+
+  let reduce_two_pi x =
+    let k = Float.round (x *. inv_two_pi) in
+    if k = 0.0 then (x, 0.0, 0.0)
+    else begin
+      let p, pe = two_prod k two_pi_hi in
+      let q, qe = two_prod k two_pi_lo in
+      let s, se = two_sum x (-.p) in
+      let rh, rl = dd_sub (dd_add (s, se) (-.pe, 0.0)) (q, qe) in
+      (rh, rl, (Float.abs k *. Certified.two_pi_defect) +. 1e-30)
+    end
+end
+
+let same_interval a b =
+  same_bits (Interval.inf a) (Interval.inf b)
+  && same_bits (Interval.sup a) (Interval.sup b)
+
+(* The dd values themselves: a change in a dd operation's last bits
+   rarely survives the rounding to an enclosure, but it shows in the tail
+   [l]. *)
+let same_dd (w : Certified.dd) (h, l) = same_bits w.h h && same_bits w.l l
+
+let frozen_exp_dd_qcheck =
+  qcheck ~count:500 "exp_dd bit-identical to the tuple kernels"
+    QCheck2.Gen.(pair (float_range (-670.0) 709.0) (float_range (-1.0) 1.0))
+    (fun (th, f) ->
+      let tl = f *. 1e-16 *. Float.abs th in
+      let w = { Certified.h = th; l = tl } in
+      Certified.exp_dd w;
+      same_dd w (Frozen.exp_dd (th, tl)))
+
+(* Positive floats over the whole exponent range, subnormals included. *)
+let any_positive_gen =
+  QCheck2.Gen.(
+    map
+      (fun (m, e) -> Float.ldexp m e)
+      (pair (float_range 0.5 1.0) (int_range (-1074) 1023)))
+
+let frozen_log_dd_qcheck =
+  qcheck ~count:500 "log_dd bit-identical to the tuple kernels"
+    any_positive_gen (fun x ->
+      let w = { Certified.h = 0.0; l = 0.0 } in
+      Certified.log_dd w x;
+      same_dd w (fst (Frozen.log_dd x)))
+
+(* Intervals [lo, lo + w] with every third one a point, over a range
+   that reaches past each kernel's domain edges. *)
+let frozen_gen lo_range hi_range =
+  QCheck2.Gen.(
+    map3
+      (fun lo w pt -> if pt = 0 then point lo else iv lo (lo +. w))
+      (float_range lo_range hi_range)
+      (oneof [ float_range 0.0 1e-12; float_range 0.0 4.0 ])
+      (int_range 0 2))
+
+let frozen_exp_qcheck =
+  qcheck ~count:500 "exp bit-identical to the tuple kernels"
+    (frozen_gen (-800.0) 800.0) (fun i ->
+      same_interval (Certified.exp i) (Frozen.exp i))
+
+let frozen_log_qcheck =
+  qcheck ~count:500 "log bit-identical to the tuple kernels"
+    QCheck2.Gen.(oneof [ frozen_gen 0.0 40.0; map point any_positive_gen ])
+    (fun i -> same_interval (Certified.log i) (Frozen.log i))
+
+let frozen_pow_rat_qcheck =
+  qcheck ~count:500 "pow_rat bit-identical to the tuple kernels"
+    QCheck2.Gen.(
+      pair
+        (oneof [ frozen_gen 0.0 1e3; map point any_positive_gen ])
+        (map2 (fun p q -> Rat.make p q) (int_range (-9) 9) (int_range 1 7)))
+    (fun (i, r) -> same_interval (Certified.pow_rat i r) (Frozen.pow_rat i r))
+
+let frozen_reduce_qcheck =
+  qcheck ~count:500 "reduce_two_pi bit-identical to the tuple kernels"
+    QCheck2.Gen.(
+      oneof [ float_range (-10.0) 10.0; float_range (-4.4e15) 4.4e15 ])
+    (fun x ->
+      let rh, rl, e = Certified.reduce_two_pi x
+      and rh', rl', e' = Frozen.reduce_two_pi x in
+      same_bits rh rh' && same_bits rl rl' && same_bits e e')
+
 let suite =
   [
     case "exp kernel tighter than legacy" test_exp_kernel_tighter;
@@ -561,4 +808,10 @@ let suite =
     atanh_containment_qcheck;
     w_inverse_containment_qcheck;
     pow_rat_containment_qcheck;
+    frozen_exp_dd_qcheck;
+    frozen_log_dd_qcheck;
+    frozen_exp_qcheck;
+    frozen_log_qcheck;
+    frozen_pow_rat_qcheck;
+    frozen_reduce_qcheck;
   ]

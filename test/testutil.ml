@@ -26,6 +26,10 @@ let check_close ?tol msg expected actual =
   | Ok () -> ()
   | Error detail -> Alcotest.failf "%s: %s" msg detail
 
+(* Bit-for-bit float equality: tells -0.0 from 0.0 and one NaN from
+   another. *)
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
 (* Worker-domain count for verifier-driving tests; set by the runtest
    harness (test/dune runs the suite at 1 and 2) so every suite exercises
    both the sequential and the parallel scheduler path. *)
